@@ -21,12 +21,17 @@
 //
 // Concurrency: every accessor that does not mutate the graph — the
 // adjacency readers (VirtSources, VirtTargets, OutDirect, OutVirtuals, ...),
-// the traversals (ForNeighbors, OutDegree, HasEdgeIdx), and the size metrics
-// — performs no lazy initialization and is safe for concurrent use from
-// multiple goroutines. The parallel phases in internal/extract,
-// internal/bsp, and internal/dedup rely on this read-only contract. Mutating
-// methods require external synchronization (the parallel callers stage
-// mutations per worker and apply them serially).
+// the traversals (ForNeighbors, OutDegree, HasEdgeIdx), MaxLayer, and the
+// size metrics — performs no lazy initialization and writes nothing, so it
+// is safe for concurrent use from multiple goroutines. The parallel phases
+// in internal/extract, internal/bsp, and internal/dedup rely on this
+// read-only contract. Mutating methods require external synchronization
+// (the parallel callers stage mutations per worker and apply them
+// serially).
+//
+// Freeze hands out read-only views that share storage with the graph they
+// were taken from; see Freeze for the copy-on-write rules that keep a view
+// fixed while its source keeps changing.
 package core
 
 import (
@@ -131,8 +136,18 @@ type Graph struct {
 	// layerHint is an upper bound on MaxLayer maintained incrementally so
 	// traversals can decide in O(1) whether multi-layer bookkeeping is
 	// needed. Removing virtual nodes may leave it stale-high, which only
-	// costs an unnecessary visited set, never correctness.
+	// costs an unnecessary visited set, never correctness; Compact and
+	// FlattenToSingleLayer tighten it.
 	layerHint int32
+
+	// frozen marks a view returned by Freeze: it shares storage with the
+	// graph it was frozen from, so its first mutation replaces it with a
+	// private Clone.
+	frozen bool
+	// cow marks a graph whose storage frozen views share: adjacency edits
+	// copy the one list they touch, and in-place writes to shared storage
+	// clone the whole graph first.
+	cow bool
 }
 
 // New returns an empty condensed graph in the given representation mode.
@@ -178,6 +193,7 @@ func (g *Graph) AddRealNode(id int64) int32 {
 	if idx, ok := g.realIdx[id]; ok {
 		return idx
 	}
+	g.own()
 	idx := int32(len(g.realID))
 	g.realID = append(g.realID, id)
 	g.realIdx[id] = idx
@@ -193,6 +209,7 @@ func (g *Graph) AddRealNode(id int64) int32 {
 // AddVirtualNode adds a virtual node in the given layer (1-based from the
 // source side) and returns its dense index.
 func (g *Graph) AddVirtualNode(layer int32) int32 {
+	g.writable()
 	idx := int32(len(g.vLayer))
 	if layer > g.layerHint {
 		g.layerHint = layer
@@ -231,6 +248,7 @@ func (g *Graph) Property(r int32, key string) (string, bool) {
 
 // SetProperty sets a property on real index r.
 func (g *Graph) SetProperty(r int32, key, value string) {
+	g.own()
 	if g.props[r] == nil {
 		g.props[r] = make(map[string]string, 1)
 	}
@@ -245,32 +263,37 @@ func (g *Graph) Properties(r int32) map[string]string { return g.props[r] }
 
 // ConnectRealToVirt adds the edge u_s -> V.
 func (g *Graph) ConnectRealToVirt(r, v int32) {
-	g.outVirt[r] = append(g.outVirt[r], v)
-	g.vIn[v] = append(g.vIn[v], r)
+	g.writable()
+	g.outVirt[r] = g.appendAdj(g.outVirt[r], v)
+	g.vIn[v] = g.appendAdj(g.vIn[v], r)
 }
 
 // ConnectVirtToReal adds the edge V -> u_t.
 func (g *Graph) ConnectVirtToReal(v, r int32) {
-	g.vOut[v] = append(g.vOut[v], r)
-	g.inVirt[r] = append(g.inVirt[r], v)
+	g.writable()
+	g.vOut[v] = g.appendAdj(g.vOut[v], r)
+	g.inVirt[r] = g.appendAdj(g.inVirt[r], v)
 }
 
 // ConnectVirtToVirt adds the directed edge V -> W between virtual nodes.
 func (g *Graph) ConnectVirtToVirt(v, w int32) {
-	g.vOutVirt[v] = append(g.vOutVirt[v], w)
-	g.vInVirt[w] = append(g.vInVirt[w], v)
+	g.writable()
+	g.vOutVirt[v] = g.appendAdj(g.vOutVirt[v], w)
+	g.vInVirt[w] = g.appendAdj(g.vInVirt[w], v)
 }
 
 // ConnectVirtUndirected adds the DEDUP-2 undirected edge V <-> W.
 func (g *Graph) ConnectVirtUndirected(v, w int32) {
-	g.vUndir[v] = append(g.vUndir[v], w)
-	g.vUndir[w] = append(g.vUndir[w], v)
+	g.writable()
+	g.vUndir[v] = g.appendAdj(g.vUndir[v], w)
+	g.vUndir[w] = g.appendAdj(g.vUndir[w], v)
 }
 
 // AddDirectEdgeIdx adds the direct real edge u -> w.
 func (g *Graph) AddDirectEdgeIdx(u, w int32) {
-	g.outReal[u] = append(g.outReal[u], w)
-	g.inReal[w] = append(g.inReal[w], u)
+	g.writable()
+	g.outReal[u] = g.appendAdj(g.outReal[u], w)
+	g.inReal[w] = g.appendAdj(g.inReal[w], u)
 }
 
 // AddMember adds real node r as both a source and a target of virtual node
@@ -283,61 +306,58 @@ func (g *Graph) AddMember(v, r int32) {
 
 // --- Edge removal (used by deduplication algorithms) ---
 
-func removeOne(s []int32, x int32) []int32 {
-	for i, e := range s {
-		if e == x {
-			return append(s[:i], s[i+1:]...)
-		}
-	}
-	return s
-}
-
 // DisconnectRealToVirt removes one u_s -> V edge.
 func (g *Graph) DisconnectRealToVirt(r, v int32) {
-	g.outVirt[r] = removeOne(g.outVirt[r], v)
-	g.vIn[v] = removeOne(g.vIn[v], r)
+	g.writable()
+	g.outVirt[r] = g.removeAdj(g.outVirt[r], v)
+	g.vIn[v] = g.removeAdj(g.vIn[v], r)
 }
 
 // DisconnectVirtToReal removes one V -> u_t edge.
 func (g *Graph) DisconnectVirtToReal(v, r int32) {
-	g.vOut[v] = removeOne(g.vOut[v], r)
-	g.inVirt[r] = removeOne(g.inVirt[r], v)
+	g.writable()
+	g.vOut[v] = g.removeAdj(g.vOut[v], r)
+	g.inVirt[r] = g.removeAdj(g.inVirt[r], v)
 }
 
 // DisconnectVirtToVirt removes one V -> W edge.
 func (g *Graph) DisconnectVirtToVirt(v, w int32) {
-	g.vOutVirt[v] = removeOne(g.vOutVirt[v], w)
-	g.vInVirt[w] = removeOne(g.vInVirt[w], v)
+	g.writable()
+	g.vOutVirt[v] = g.removeAdj(g.vOutVirt[v], w)
+	g.vInVirt[w] = g.removeAdj(g.vInVirt[w], v)
 }
 
 // DisconnectVirtUndirected removes the undirected edge V <-> W.
 func (g *Graph) DisconnectVirtUndirected(v, w int32) {
-	g.vUndir[v] = removeOne(g.vUndir[v], w)
-	g.vUndir[w] = removeOne(g.vUndir[w], v)
+	g.writable()
+	g.vUndir[v] = g.removeAdj(g.vUndir[v], w)
+	g.vUndir[w] = g.removeAdj(g.vUndir[w], v)
 }
 
 // RemoveDirectEdgeIdx removes one direct edge u -> w.
 func (g *Graph) RemoveDirectEdgeIdx(u, w int32) {
-	g.outReal[u] = removeOne(g.outReal[u], w)
-	g.inReal[w] = removeOne(g.inReal[w], u)
+	g.writable()
+	g.outReal[u] = g.removeAdj(g.outReal[u], w)
+	g.inReal[w] = g.removeAdj(g.inReal[w], u)
 }
 
 // RemoveVirtualNode deletes a virtual node and all its edges.
 func (g *Graph) RemoveVirtualNode(v int32) {
+	g.writable()
 	for _, r := range g.vIn[v] {
-		g.outVirt[r] = removeOne(g.outVirt[r], v)
+		g.outVirt[r] = g.removeAdj(g.outVirt[r], v)
 	}
 	for _, w := range g.vInVirt[v] {
-		g.vOutVirt[w] = removeOne(g.vOutVirt[w], v)
+		g.vOutVirt[w] = g.removeAdj(g.vOutVirt[w], v)
 	}
 	for _, r := range g.vOut[v] {
-		g.inVirt[r] = removeOne(g.inVirt[r], v)
+		g.inVirt[r] = g.removeAdj(g.inVirt[r], v)
 	}
 	for _, w := range g.vOutVirt[v] {
-		g.vInVirt[w] = removeOne(g.vInVirt[w], v)
+		g.vInVirt[w] = g.removeAdj(g.vInVirt[w], v)
 	}
 	for _, w := range g.vUndir[v] {
-		g.vUndir[w] = removeOne(g.vUndir[w], v)
+		g.vUndir[w] = g.removeAdj(g.vUndir[w], v)
 	}
 	g.vIn[v], g.vInVirt[v], g.vOut[v], g.vOutVirt[v], g.vUndir[v] = nil, nil, nil, nil, nil
 	g.bitmaps[v] = nil
@@ -381,6 +401,7 @@ func (g *Graph) InDirect(r int32) []int32 { return g.inReal[r] }
 // node v. The bitmap indexes v's outgoing edges: vOut entries first,
 // followed by vOutVirt entries.
 func (g *Graph) SetBitmap(v, r int32, b *bitset.Set) {
+	g.own()
 	if g.bitmaps[v] == nil {
 		g.bitmaps[v] = make(map[int32]*bitset.Set)
 	}
@@ -399,6 +420,7 @@ func (g *Graph) Bitmap(v, r int32) (*bitset.Set, bool) {
 // RemoveBitmap drops the bitmap for origin r at virtual node v.
 func (g *Graph) RemoveBitmap(v, r int32) {
 	if g.bitmaps[v] != nil {
+		g.own()
 		delete(g.bitmaps[v], r)
 	}
 }
@@ -424,6 +446,7 @@ func (g *Graph) NumBitmaps() int {
 // overlap computations of the deduplication algorithms (Section 5.2) fast;
 // the paper keeps neighbor lists in sorted order for the same reason.
 func (g *Graph) SortAdjacency() {
+	g.own()
 	for r := range g.realID {
 		sortSlice(g.outVirt[r])
 		sortSlice(g.outReal[r])
@@ -445,7 +468,8 @@ func sortSlice(s []int32) {
 
 // MaxLayer returns the maximum virtual-node layer (0 when the graph has no
 // virtual nodes). A graph is multi-layer when MaxLayer > 1, i.e. it contains
-// a directed path of length > 2 (Section 4.1).
+// a directed path of length > 2 (Section 4.1). It only reads the graph, so
+// concurrent callers on one shared graph do not race.
 func (g *Graph) MaxLayer() int32 {
 	var max int32
 	for v, l := range g.vLayer {
@@ -453,7 +477,6 @@ func (g *Graph) MaxLayer() int32 {
 			max = l
 		}
 	}
-	g.layerHint = max
 	return max
 }
 
@@ -461,8 +484,12 @@ func (g *Graph) MaxLayer() int32 {
 // may contain more than one layer of virtual nodes.
 func (g *Graph) multiLayer() bool { return g.layerHint > 1 }
 
-// Clone returns a deep copy of the graph. Benchmarks use it to run several
-// deduplication algorithms from the same C-DUP starting point.
+// Clone returns a deep, private copy of the graph: the deduplication
+// algorithms and As(CDUP) work on one, benchmarks use it to run several
+// conversions from the same C-DUP starting point, and a frozen view
+// replaces itself with one on its first mutation. Cloning costs time and
+// memory proportional to the whole graph; a reader that only needs a fixed
+// state of a changing graph should take a Freeze view instead.
 func (g *Graph) Clone() *Graph {
 	ng := &Graph{
 		mode:      g.mode,
@@ -510,6 +537,91 @@ func (g *Graph) Clone() *Graph {
 		}
 	}
 	return ng
+}
+
+// Freeze returns a read-only view of g's current state that later
+// mutations of g do not disturb. The view shares every adjacency backing
+// array, the vertex ID arrays and index, properties, and bitmaps with g;
+// it copies only the per-node header arrays (the slice headers of the
+// adjacency lists and bitmap maps) and the tombstone flags, in one
+// allocation per array and none per node.
+//
+// From then on g is in copy-on-write mode: an edge added to a list goes
+// into a fresh backing array (the append runs on s[:len:len]) and a
+// removal builds a fresh slice, so an update that touches k adjacency
+// lists copies those k lists and nothing else. Writes to the shared vertex
+// index, properties, or bitmaps, and whole-graph rewrites (Compact,
+// SortAdjacency, FlattenToSingleLayer), first replace g's storage with a
+// private Clone.
+//
+// The view itself is never written in place: its first mutation through
+// any mutating method replaces it with a private Clone, so only a caller
+// that actually mutates pays for a copy, and it never disturbs g or other
+// views. Freezing a view returns another independent handle on the same
+// storage in O(1).
+func (g *Graph) Freeze() *Graph {
+	v := *g
+	v.frozen, v.cow = true, false
+	if g.frozen {
+		return &v
+	}
+	g.cow = true
+	v.dead = append([]bool(nil), g.dead...)
+	v.vDead = append([]bool(nil), g.vDead...)
+	v.outVirt = append([][]int32(nil), g.outVirt...)
+	v.outReal = append([][]int32(nil), g.outReal...)
+	v.inVirt = append([][]int32(nil), g.inVirt...)
+	v.inReal = append([][]int32(nil), g.inReal...)
+	v.vIn = append([][]int32(nil), g.vIn...)
+	v.vInVirt = append([][]int32(nil), g.vInVirt...)
+	v.vOut = append([][]int32(nil), g.vOut...)
+	v.vOutVirt = append([][]int32(nil), g.vOutVirt...)
+	v.vUndir = append([][]int32(nil), g.vUndir...)
+	v.bitmaps = append([]map[int32]*bitset.Set(nil), g.bitmaps...)
+	return &v
+}
+
+// writable prepares g for an adjacency edit: a frozen view first replaces
+// its shared storage with a private Clone.
+func (g *Graph) writable() {
+	if g.frozen {
+		*g = *g.Clone()
+	}
+}
+
+// own prepares g for an in-place write to storage that frozen views may
+// share (the vertex index, properties, bitmaps, or every list at once):
+// a frozen view, or a graph in copy-on-write mode, first replaces its
+// storage with a private Clone.
+func (g *Graph) own() {
+	if g.frozen || g.cow {
+		*g = *g.Clone()
+	}
+}
+
+// appendAdj appends x to the adjacency list s. In copy-on-write mode the
+// append is forced into a fresh backing array, so no array a frozen view
+// can reach is ever written again.
+func (g *Graph) appendAdj(s []int32, x int32) []int32 {
+	if g.cow {
+		s = s[:len(s):len(s)]
+	}
+	return append(s, x)
+}
+
+// removeAdj removes one occurrence of x from the adjacency list s: in
+// place normally, into a fresh slice in copy-on-write mode.
+func (g *Graph) removeAdj(s []int32, x int32) []int32 {
+	for i, e := range s {
+		if e == x {
+			if g.cow {
+				out := make([]int32, 0, len(s)-1)
+				return append(append(out, s[:i]...), s[i+1:]...)
+			}
+			return append(s[:i], s[i+1:]...)
+		}
+	}
+	return s
 }
 
 func cloneAdj(a [][]int32) [][]int32 {

@@ -91,6 +91,7 @@ func (g *Graph) expandVirtualNode(v int32) {
 // (0 = unlimited); on overflow the graph is left partially flattened but
 // still equivalent, and ErrTooLarge is returned.
 func (g *Graph) FlattenToSingleLayer(maxEdges int64) error {
+	g.own()
 	for {
 		expanded := false
 		for v := int32(0); int(v) < len(g.vLayer); v++ {

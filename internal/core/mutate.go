@@ -24,6 +24,7 @@ func (g *Graph) DeleteVertexID(id int64) error {
 	if !ok {
 		return fmt.Errorf("graphgen: vertex %d not found", id)
 	}
+	g.own()
 	delete(g.realIdx, id)
 	if !g.dead[r] {
 		g.dead[r] = true
@@ -216,6 +217,7 @@ func (g *Graph) Compact() {
 	if g.numDead == 0 {
 		return
 	}
+	g.own()
 	// Remap old dense indices to new ones.
 	remap := make([]int32, len(g.realID))
 	var n int32
@@ -289,4 +291,5 @@ func (g *Graph) Compact() {
 			g.RemoveVirtualNode(v)
 		}
 	}
+	g.layerHint = g.MaxLayer()
 }

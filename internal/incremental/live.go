@@ -98,8 +98,8 @@ type Live struct {
 	prog *datalog.Program
 	opts extract.Options
 
-	// mu guards g, rules, stats, version, and err; pendMu guards pending.
-	// Lock order: mu before pendMu.
+	// mu guards g, rules, stats, version, err, and the frozen view;
+	// pendMu guards pending. Lock order: mu before pendMu.
 	mu sync.RWMutex
 	// graphlint:guardedby mu
 	g *core.Graph
@@ -111,6 +111,13 @@ type Live struct {
 	version uint64
 	// graphlint:guardedby mu
 	err error // first unrecoverable rebuild error, surfaced by Flush/Err
+	// view is a frozen view of g taken at viewVersion by the first
+	// snapshot of that version; every later snapshot of the same version
+	// is a handle on it.
+	// graphlint:guardedby mu
+	view *core.Graph
+	// graphlint:guardedby mu
+	viewVersion uint64
 
 	pendMu sync.Mutex
 	// graphlint:guardedby pendMu
@@ -596,12 +603,12 @@ func (lv *Live) LogicalEdges() int64 {
 	return lv.g.LogicalEdges()
 }
 
-// Snapshot applies pending deltas and returns a deep copy of the condensed
-// graph, detached from further maintenance.
+// Snapshot applies pending deltas and returns a frozen view of the
+// condensed graph, detached from further maintenance; see
+// SnapshotVersioned.
 func (lv *Live) Snapshot() *core.Graph {
-	lv.acquire()
-	defer lv.mu.RUnlock()
-	return lv.g.Clone()
+	g, _ := lv.SnapshotVersioned()
+	return g
 }
 
 // Version returns the snapshot version: a counter that increases every
@@ -618,14 +625,26 @@ func (lv *Live) Version() uint64 {
 	return lv.version
 }
 
-// SnapshotVersioned is Snapshot plus the version the snapshot was taken
-// at, read atomically under one lock acquisition, so a caller can key a
-// derived result to exactly the state it was computed from even while
-// mutations race the read.
+// SnapshotVersioned applies pending deltas and returns a frozen view of
+// the condensed graph together with the version it shows, both read under
+// one lock acquisition, so a caller can key a derived result to exactly
+// the state it was computed from even while mutations race the read.
+//
+// The view is built at most once per version (core.Graph.Freeze: shared
+// adjacency, copied per-node headers, no per-node allocation); later calls
+// at the same version return another handle on it in O(1). Later flushes
+// copy only the adjacency lists they touch, so the view never changes.
+// Reading it needs no lock. Mutating it through any core.Graph mutator
+// first replaces that handle's storage with a private Clone, leaving the
+// live graph and every other handle unchanged.
 func (lv *Live) SnapshotVersioned() (*core.Graph, uint64) {
-	lv.acquire()
-	defer lv.mu.RUnlock()
-	return lv.g.Clone(), lv.version
+	lv.mu.Lock()
+	defer lv.mu.Unlock()
+	lv.flushLocked()
+	if lv.view == nil || lv.viewVersion != lv.version {
+		lv.view, lv.viewVersion = lv.g.Freeze(), lv.version
+	}
+	return lv.view.Freeze(), lv.version
 }
 
 // Pending returns the number of queued, not-yet-applied count deltas.

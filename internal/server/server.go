@@ -143,6 +143,31 @@ type session struct {
 	// session, recorded when the create request asked for
 	// explain/analyze; nil otherwise. Immutable once set.
 	profile *graphgen.Profile
+
+	// csrMu guards the CSR memo: the sssp/closeness CSR built from the
+	// session's graph at csrVersion, so both analyses at one version
+	// build it once.
+	csrMu sync.Mutex
+	// graphlint:guardedby csrMu
+	csr *workload.Snapshot
+	// graphlint:guardedby csrMu
+	csrVersion uint64
+}
+
+// csrAt returns the CSR of g, the session's graph at version, building it
+// on the first request at that version. A request still running at an
+// older version builds its own CSR without displacing the newer one.
+func (sess *session) csrAt(g *graphgen.Graph, version uint64) *workload.Snapshot {
+	sess.csrMu.Lock()
+	defer sess.csrMu.Unlock()
+	if sess.csr != nil && sess.csrVersion == version {
+		return sess.csr
+	}
+	snap := workload.Snap(g)
+	if sess.csr == nil || version > sess.csrVersion {
+		sess.csr, sess.csrVersion = snap, version
+	}
+	return snap
 }
 
 // Server is the graph-serving daemon core, independent of the listener:
@@ -702,12 +727,14 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 		s.error(w, r, http.StatusBadRequest, codeBadParam, "%v", err)
 		return
 	}
-	// Snapshot-version cache key: reading Version first flushes pending
-	// deltas, so a mutation made before this request always misses the
-	// old entries.
-	var version uint64
+	// Snapshot-version cache key: one call flushes pending deltas and
+	// returns the frozen view with the version it shows, so a mutation
+	// made before this request always misses the old entries and a miss
+	// computes on exactly the state its key names. Static graphs are
+	// immutable, shared, and frozen at version 0.
+	g, version := sess.static, uint64(0)
 	if sess.live != nil {
-		version = sess.live.Version()
+		g, version = sess.live.SnapshotWithVersion()
 	}
 	key := cacheKey{sessionID: sess.id, version: version, analysis: algo, params: params.canonical}
 	if body, ok := s.cache.get(key); ok {
@@ -719,16 +746,9 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, env)
 		return
 	}
-	// Miss: compute on an isolated graph. Live sessions are snapshotted
-	// (atomically with the version, in case a mutation flushed between
-	// the Version read above and now); static graphs are immutable and
-	// shared.
-	g := sess.static
-	if sess.live != nil {
-		g, key.version = sess.live.SnapshotWithVersion()
-	}
+	csr := func() *workload.Snapshot { return sess.csrAt(g, version) }
 	start := time.Now()
-	result, err := computeAnalysis(g, algo, params)
+	result, err := computeAnalysis(g, csr, algo, params)
 	elapsed := time.Since(start)
 	if err != nil {
 		s.error(w, r, http.StatusBadRequest, codeBadParam, "%v", err)
@@ -853,8 +873,9 @@ func parseParams(algo string, q map[string][]string) (analysisParams, error) {
 }
 
 // computeAnalysis runs one analysis on a graph the caller guarantees is
-// not being mutated (a live snapshot or an immutable static session).
-func computeAnalysis(g *graphgen.Graph, algo string, p analysisParams) (any, error) {
+// not being mutated (a live snapshot or an immutable static session); csr
+// returns the graph's CSR for sssp and closeness.
+func computeAnalysis(g *graphgen.Graph, csr func() *workload.Snapshot, algo string, p analysisParams) (any, error) {
 	switch algo {
 	case "degree":
 		deg := g.Degrees()
@@ -940,7 +961,7 @@ func computeAnalysis(g *graphgen.Graph, algo string, p analysisParams) (any, err
 		// Multi-source shortest paths (SIGMOD 2014 contest family): hop
 		// distance to the nearest source. Explicit ?srcs=1,2,3 or a
 		// deterministic evenly-spaced ?sources=k sample.
-		snap := workload.Snap(g)
+		snap := csr()
 		srcs := p.srcs
 		if len(srcs) == 0 {
 			srcs = snap.SampleSources(p.sources)
@@ -965,7 +986,7 @@ func computeAnalysis(g *graphgen.Graph, algo string, p analysisParams) (any, err
 	case "closeness":
 		// Sampled exact closeness centrality: one BFS per pivot, contest
 		// scoring (reachability-corrected), top-k by score.
-		snap := workload.Snap(g)
+		snap := csr()
 		pivots := snap.SampleSources(p.samples)
 		scores := workload.TopCloseness(snap.Closeness(pivots, 0), p.k)
 		type entry struct {

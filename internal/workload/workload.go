@@ -8,17 +8,19 @@
 // daemon, and internal/server exposes them as /analyze/sssp and
 // /analyze/closeness.
 //
-// The fast implementations freeze the representation-independent
-// graphapi.Graph into a CSR snapshot once (Snap) and then run
+// The fast implementations freeze the graph into a CSR snapshot once
+// (Snap, read straight from the condensed core) and then run
 // array-indexed BFS per query; naive.go keeps deliberately slow reference
 // implementations that iterate the graphapi interface directly, used only
 // by the randomized equivalence tests.
 package workload
 
 import (
+	"cmp"
+	"slices"
 	"sort"
 
-	"graphgen/internal/graphapi"
+	"graphgen"
 	"graphgen/internal/parallel"
 )
 
@@ -27,37 +29,49 @@ import (
 // costs one pass over the graph; every query on it is array-indexed.
 // The snapshot is immutable and safe for concurrent use.
 type Snapshot struct {
-	ids  []int64         // dense -> external, ascending
-	idx  map[int64]int32 // external -> dense
-	offs []int64         // CSR row offsets, len n+1
-	adj  []int32         // CSR column indexes
+	ids  []int64 // dense -> external, ascending
+	offs []int64 // CSR row offsets, len n+1
+	adj  []int32 // CSR column indexes
 }
 
-// Snap freezes g into a CSR snapshot. Neighbors pointing outside the
-// vertex set (impossible for extracted graphs) are dropped.
-func Snap(g graphapi.Graph) *Snapshot {
-	ids := graphapi.ToList(g.Vertices())
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	s := &Snapshot{ids: ids, idx: make(map[int64]int32, len(ids))}
-	for i, id := range ids {
-		s.idx[id] = int32(i)
+// Snap freezes g into a CSR snapshot, read straight from the condensed
+// core by dense real index: the live real nodes are put in ascending-ID
+// order, one slice maps a dense real index to its CSR row, and each row
+// is filled from the core's deduplicating neighbor traversal — no
+// iterators, no per-vertex slices, no per-edge map lookups. Tombstoned
+// real nodes and dead virtual slots are skipped by the traversal. g must
+// not be mutated while Snap runs (a live snapshot or a static graph).
+func Snap(g *graphgen.Graph) *Snapshot {
+	c := g.Core()
+	order := make([]int32, 0, c.NumRealNodes())
+	c.ForEachReal(func(r int32) bool {
+		order = append(order, r)
+		return true
+	})
+	slices.SortFunc(order, func(a, b int32) int { return cmp.Compare(c.RealID(a), c.RealID(b)) })
+	row := make([]int32, c.NumRealSlots())
+	s := &Snapshot{ids: make([]int64, len(order)), offs: make([]int64, len(order)+1)}
+	for i, r := range order {
+		row[r] = int32(i)
+		s.ids[i] = c.RealID(r)
 	}
-	s.offs = make([]int64, len(ids)+1)
-	for i, id := range ids {
-		s.offs[i+1] = s.offs[i]
-		it := g.Neighbors(id)
-		for {
-			t, ok := it.Next()
-			if !ok {
-				break
-			}
-			if d, ok := s.idx[t]; ok {
-				s.adj = append(s.adj, d)
-				s.offs[i+1]++
-			}
-		}
+	adj := make([]int32, 0, c.RepEdges())
+	emit := func(t int32) bool {
+		adj = append(adj, row[t])
+		return true
 	}
+	for i, r := range order {
+		c.ForNeighbors(r, emit)
+		s.offs[i+1] = int64(len(adj))
+	}
+	s.adj = adj
 	return s
+}
+
+// dense returns the CSR index of external ID id.
+func (s *Snapshot) dense(id int64) (int32, bool) {
+	i, ok := slices.BinarySearch(s.ids, id)
+	return int32(i), ok
 }
 
 // NumVertices returns the snapshot's vertex count.
@@ -148,7 +162,7 @@ func (s *Snapshot) MultiSourceBFS(sources []int64) SSSPResult {
 	res := SSSPResult{Dist: make(map[int64]int32)}
 	seeds := make([]int32, 0, len(sources))
 	for _, id := range sources {
-		if d, ok := s.idx[id]; ok {
+		if d, ok := s.dense(id); ok {
 			seeds = append(seeds, d)
 			res.Sources = append(res.Sources, id)
 		}
@@ -193,7 +207,7 @@ type CentralityScore struct {
 func (s *Snapshot) Closeness(sources []int64, workers int) []CentralityScore {
 	seeds := make([]int32, 0, len(sources))
 	for _, id := range sources {
-		if d, ok := s.idx[id]; ok {
+		if d, ok := s.dense(id); ok {
 			seeds = append(seeds, d)
 		}
 	}

@@ -81,6 +81,82 @@ func TestMultiSourceBFSEquivalence(t *testing.T) {
 	}
 }
 
+// randomCondensedGraph builds a random two-layer C-DUP graph whose dense
+// indexes disagree with ID order, then tombstones some real nodes (no
+// Compact) and removes some virtual nodes, so Snap's dense-index remap
+// must skip dead real slots and dead virtual slots.
+func randomCondensedGraph(t *testing.T, rng *rand.Rand, n int) *graphgen.Graph {
+	t.Helper()
+	c := core.New(core.CDUP)
+	for _, i := range rng.Perm(n) {
+		c.AddRealNode(int64(i*5 + 1000))
+	}
+	pick := func() int32 { return int32(rng.Intn(n)) }
+	var layer1 []int32
+	for v := 0; v < n/3+1; v++ {
+		x := c.AddVirtualNode(1)
+		layer1 = append(layer1, x)
+		for k := rng.Intn(5); k > 0; k-- {
+			c.ConnectRealToVirt(pick(), x)
+		}
+		for k := rng.Intn(5); k > 0; k-- {
+			c.ConnectVirtToReal(x, pick())
+		}
+	}
+	for v := 0; v < n/8+1; v++ {
+		x := c.AddVirtualNode(2)
+		c.ConnectVirtToVirt(layer1[rng.Intn(len(layer1))], x)
+		for k := rng.Intn(4) + 1; k > 0; k-- {
+			c.ConnectVirtToReal(x, pick())
+		}
+	}
+	for k := n / 4; k > 0; k-- {
+		c.AddDirectEdgeIdx(pick(), pick())
+	}
+	for _, x := range layer1[:len(layer1)/3] {
+		c.RemoveVirtualNode(x)
+	}
+	g := graphgen.WrapCore(c)
+	for k := n / 5; k > 0; k-- {
+		g.DeleteVertex(int64(rng.Intn(n)*5 + 1000)) // may already be gone
+	}
+	return g
+}
+
+// TestSnapEquivalenceCondensed runs the naive-vs-fast equivalence on
+// condensed graphs with tombstoned real nodes and dead virtual slots.
+func TestSnapEquivalenceCondensed(t *testing.T) {
+	rng := rand.New(rand.NewSource(4))
+	for trial := 0; trial < 30; trial++ {
+		g := randomCondensedGraph(t, rng, 6+rng.Intn(50))
+		c := g.Core()
+		if c.NumRealNodes() == c.NumRealSlots() || c.NumVirtualNodes() == c.NumVirtualSlots() {
+			t.Fatalf("trial %d: no dead real or virtual slots", trial)
+		}
+		snap := Snap(g)
+		if snap.NumVertices() != g.NumVertices() || snap.NumEdges() != g.LogicalEdges() {
+			t.Fatalf("trial %d: snapshot has %d vertices and %d edges, graph %d and %d",
+				trial, snap.NumVertices(), snap.NumEdges(), g.NumVertices(), g.LogicalEdges())
+		}
+		sources := pickSources(rng, snap.IDs())
+		fast, naive := snap.MultiSourceBFS(sources), NaiveMultiSourceBFS(g, sources)
+		if !reflect.DeepEqual(fast, naive) {
+			t.Fatalf("trial %d: sssp differs\nfast:  %+v\nnaive: %+v", trial, fast, naive)
+		}
+		all := snap.IDs()
+		fastC, naiveC := snap.Closeness(all, 2), NaiveCloseness(g, all)
+		if len(fastC) != len(naiveC) {
+			t.Fatalf("trial %d: %d closeness scores, naive %d", trial, len(fastC), len(naiveC))
+		}
+		for i := range fastC {
+			f, nv := fastC[i], naiveC[i]
+			if f.ID != nv.ID || f.Reached != nv.Reached || f.SumDist != nv.SumDist || math.Abs(f.Closeness-nv.Closeness) > 1e-12 {
+				t.Fatalf("trial %d: closeness %d differs: fast %+v naive %+v", trial, i, f, nv)
+			}
+		}
+	}
+}
+
 func TestClosenessEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	for trial := 0; trial < 25; trial++ {

@@ -104,8 +104,15 @@ func (g *LiveGraph) Flush() error { return g.live.Flush() }
 // Pending returns the number of queued, not-yet-applied deltas.
 func (g *LiveGraph) Pending() int { return g.live.Pending() }
 
-// Snapshot applies pending deltas and returns a detached Graph copy, for
-// representation conversion (Graph.As) and the analysis entry points.
+// Snapshot applies pending deltas and returns a Graph fixed at the
+// current state, for representation conversion (Graph.As) and the
+// analysis entry points. It is a frozen copy-on-write view, built at most
+// once per version: it shares the live graph's adjacency storage, and
+// later maintenance copies only the lists it touches, so the view never
+// changes and reads of it take no lock. Each call returns its own handle;
+// the first mutation through a handle (AddEdge, DeleteVertex,
+// SetPropertyOf, Compact, ...) copies the whole graph into that handle, so
+// only callers that mutate pay for a copy.
 func (g *LiveGraph) Snapshot() *Graph { return WrapCore(g.live.Snapshot()) }
 
 // Version applies pending deltas and returns the snapshot version: a
@@ -117,9 +124,10 @@ func (g *LiveGraph) Snapshot() *Graph { return WrapCore(g.live.Snapshot()) }
 // (session, version, analysis, params).
 func (g *LiveGraph) Version() uint64 { return g.live.Version() }
 
-// SnapshotWithVersion is Snapshot plus the version the copy was taken at,
-// read atomically, so derived results can be keyed to exactly the state
-// they were computed from even while table mutations race the read.
+// SnapshotWithVersion is Snapshot plus the version the view shows, read
+// atomically, so derived results can be keyed to exactly the state they
+// were computed from even while table mutations race the read. Calls at
+// an unchanged version share one frozen view and cost O(1).
 func (g *LiveGraph) SnapshotWithVersion() (*Graph, uint64) {
 	c, ver := g.live.SnapshotVersioned()
 	return WrapCore(c), ver

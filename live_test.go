@@ -2,8 +2,11 @@ package graphgen
 
 import (
 	"errors"
+	"fmt"
+	"sync"
 	"testing"
 
+	"graphgen/internal/datagen"
 	"graphgen/internal/graphapi"
 )
 
@@ -92,5 +95,64 @@ func TestExtractLive(t *testing.T) {
 	}
 	if n := graphapi.Count(lg.Neighbors(3)); n == 0 {
 		t.Fatal("Neighbors(3) is empty")
+	}
+}
+
+// TestSnapshotConcurrentAnalyses runs a representation conversion and two
+// analyses concurrently on one frozen live view and on one static graph.
+// Under -race it pins that none of them writes the graph it reads: the
+// DEDUP-1 input check and PageRank call MaxLayer, which used to tighten a
+// traversal hint in place while ForNeighbors read it.
+func TestSnapshotConcurrentAnalyses(t *testing.T) {
+	engine := NewEngine(datagen.DBLPLike(3, 300, 240), WithForceCondensed())
+	lg, err := engine.ExtractLive(datagen.QueryCoauthors)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer lg.Close()
+	static, err := engine.Extract(datagen.QueryCoauthors)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, g := range map[string]*Graph{"frozen view": lg.Snapshot(), "static graph": static} {
+		want, err := g.As(DEDUP1)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		src, _ := g.Vertices().Next()
+		wantVisited, wantDepth := g.BFS(src)
+		_, wantComps := g.ConnectedComponents()
+		errs := make(chan error, 12)
+		var wg sync.WaitGroup
+		for i := 0; i < 4; i++ {
+			wg.Add(3)
+			go func() {
+				defer wg.Done()
+				d, err := g.As(DEDUP1)
+				if err == nil && d.LogicalEdges() != want.LogicalEdges() {
+					err = fmt.Errorf("DEDUP-1 has %d logical edges, want %d", d.LogicalEdges(), want.LogicalEdges())
+				}
+				errs <- err
+			}()
+			go func() {
+				defer wg.Done()
+				if v, d := g.BFS(src); v != wantVisited || d != wantDepth {
+					errs <- fmt.Errorf("BFS reached %d at depth %d, want %d at %d", v, d, wantVisited, wantDepth)
+				}
+			}()
+			go func() {
+				defer wg.Done()
+				if _, n := g.ConnectedComponents(); n != wantComps {
+					errs <- fmt.Errorf("%d components, want %d", n, wantComps)
+				}
+			}()
+		}
+		wg.Wait()
+		close(errs)
+		for err := range errs {
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+		}
 	}
 }
