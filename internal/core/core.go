@@ -264,36 +264,36 @@ func (g *Graph) Properties(r int32) map[string]string { return g.props[r] }
 // ConnectRealToVirt adds the edge u_s -> V.
 func (g *Graph) ConnectRealToVirt(r, v int32) {
 	g.writable()
-	g.outVirt[r] = g.appendAdj(g.outVirt[r], v)
-	g.vIn[v] = g.appendAdj(g.vIn[v], r)
+	g.outVirt[r] = append(g.outVirt[r], v)
+	g.vIn[v] = append(g.vIn[v], r)
 }
 
 // ConnectVirtToReal adds the edge V -> u_t.
 func (g *Graph) ConnectVirtToReal(v, r int32) {
 	g.writable()
-	g.vOut[v] = g.appendAdj(g.vOut[v], r)
-	g.inVirt[r] = g.appendAdj(g.inVirt[r], v)
+	g.vOut[v] = append(g.vOut[v], r)
+	g.inVirt[r] = append(g.inVirt[r], v)
 }
 
 // ConnectVirtToVirt adds the directed edge V -> W between virtual nodes.
 func (g *Graph) ConnectVirtToVirt(v, w int32) {
 	g.writable()
-	g.vOutVirt[v] = g.appendAdj(g.vOutVirt[v], w)
-	g.vInVirt[w] = g.appendAdj(g.vInVirt[w], v)
+	g.vOutVirt[v] = append(g.vOutVirt[v], w)
+	g.vInVirt[w] = append(g.vInVirt[w], v)
 }
 
 // ConnectVirtUndirected adds the DEDUP-2 undirected edge V <-> W.
 func (g *Graph) ConnectVirtUndirected(v, w int32) {
 	g.writable()
-	g.vUndir[v] = g.appendAdj(g.vUndir[v], w)
-	g.vUndir[w] = g.appendAdj(g.vUndir[w], v)
+	g.vUndir[v] = append(g.vUndir[v], w)
+	g.vUndir[w] = append(g.vUndir[w], v)
 }
 
 // AddDirectEdgeIdx adds the direct real edge u -> w.
 func (g *Graph) AddDirectEdgeIdx(u, w int32) {
 	g.writable()
-	g.outReal[u] = g.appendAdj(g.outReal[u], w)
-	g.inReal[w] = g.appendAdj(g.inReal[w], u)
+	g.outReal[u] = append(g.outReal[u], w)
+	g.inReal[w] = append(g.inReal[w], u)
 }
 
 // AddMember adds real node r as both a source and a target of virtual node
@@ -546,10 +546,12 @@ func (g *Graph) Clone() *Graph {
 // adjacency lists and bitmap maps) and the tombstone flags, in one
 // allocation per array and none per node.
 //
-// From then on g is in copy-on-write mode: an edge added to a list goes
-// into a fresh backing array (the append runs on s[:len:len]) and a
-// removal builds a fresh slice, so an update that touches k adjacency
-// lists copies those k lists and nothing else. Writes to the shared vertex
+// From then on g is in copy-on-write mode: a removal from an adjacency
+// list builds a fresh slice, so an update that touches k lists copies at
+// most those k lists. Appends stay plain appends: g never shortens a list
+// in place while it shares the list's backing array, so g's length on
+// that array is at least that of every view on it, and an append writes
+// past the end of every view's list. Writes to the shared vertex
 // index, properties, or bitmaps, and whole-graph rewrites (Compact,
 // SortAdjacency, FlattenToSingleLayer), first replace g's storage with a
 // private Clone.
@@ -597,16 +599,6 @@ func (g *Graph) own() {
 	if g.frozen || g.cow {
 		*g = *g.Clone()
 	}
-}
-
-// appendAdj appends x to the adjacency list s. In copy-on-write mode the
-// append is forced into a fresh backing array, so no array a frozen view
-// can reach is ever written again.
-func (g *Graph) appendAdj(s []int32, x int32) []int32 {
-	if g.cow {
-		s = s[:len(s):len(s)]
-	}
-	return append(s, x)
 }
 
 // removeAdj removes one occurrence of x from the adjacency list s: in

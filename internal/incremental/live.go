@@ -632,12 +632,20 @@ func (lv *Live) Version() uint64 {
 //
 // The view is built at most once per version (core.Graph.Freeze: shared
 // adjacency, copied per-node headers, no per-node allocation); later calls
-// at the same version return another handle on it in O(1). Later flushes
+// at the same version return another handle on it in O(1) under the read
+// lock, so they do not block concurrent neighbour reads. Later flushes
 // copy only the adjacency lists they touch, so the view never changes.
 // Reading it needs no lock. Mutating it through any core.Graph mutator
 // first replaces that handle's storage with a private Clone, leaving the
 // live graph and every other handle unchanged.
 func (lv *Live) SnapshotVersioned() (*core.Graph, uint64) {
+	lv.acquire()
+	if lv.view != nil && lv.viewVersion == lv.version {
+		g, version := lv.view.Freeze(), lv.version
+		lv.mu.RUnlock()
+		return g, version
+	}
+	lv.mu.RUnlock()
 	lv.mu.Lock()
 	defer lv.mu.Unlock()
 	lv.flushLocked()

@@ -143,31 +143,6 @@ type session struct {
 	// session, recorded when the create request asked for
 	// explain/analyze; nil otherwise. Immutable once set.
 	profile *graphgen.Profile
-
-	// csrMu guards the CSR memo: the sssp/closeness CSR built from the
-	// session's graph at csrVersion, so both analyses at one version
-	// build it once.
-	csrMu sync.Mutex
-	// graphlint:guardedby csrMu
-	csr *workload.Snapshot
-	// graphlint:guardedby csrMu
-	csrVersion uint64
-}
-
-// csrAt returns the CSR of g, the session's graph at version, building it
-// on the first request at that version. A request still running at an
-// older version builds its own CSR without displacing the newer one.
-func (sess *session) csrAt(g *graphgen.Graph, version uint64) *workload.Snapshot {
-	sess.csrMu.Lock()
-	defer sess.csrMu.Unlock()
-	if sess.csr != nil && sess.csrVersion == version {
-		return sess.csr
-	}
-	snap := workload.Snap(g)
-	if sess.csr == nil || version > sess.csrVersion {
-		sess.csr, sess.csrVersion = snap, version
-	}
-	return snap
 }
 
 // Server is the graph-serving daemon core, independent of the listener:
@@ -746,9 +721,8 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, env)
 		return
 	}
-	csr := func() *workload.Snapshot { return sess.csrAt(g, version) }
 	start := time.Now()
-	result, err := computeAnalysis(g, csr, algo, params)
+	result, err := computeAnalysis(g, algo, params)
 	elapsed := time.Since(start)
 	if err != nil {
 		s.error(w, r, http.StatusBadRequest, codeBadParam, "%v", err)
@@ -873,9 +847,8 @@ func parseParams(algo string, q map[string][]string) (analysisParams, error) {
 }
 
 // computeAnalysis runs one analysis on a graph the caller guarantees is
-// not being mutated (a live snapshot or an immutable static session); csr
-// returns the graph's CSR for sssp and closeness.
-func computeAnalysis(g *graphgen.Graph, csr func() *workload.Snapshot, algo string, p analysisParams) (any, error) {
+// not being mutated (a live snapshot or an immutable static session).
+func computeAnalysis(g *graphgen.Graph, algo string, p analysisParams) (any, error) {
 	switch algo {
 	case "degree":
 		deg := g.Degrees()
@@ -961,7 +934,7 @@ func computeAnalysis(g *graphgen.Graph, csr func() *workload.Snapshot, algo stri
 		// Multi-source shortest paths (SIGMOD 2014 contest family): hop
 		// distance to the nearest source. Explicit ?srcs=1,2,3 or a
 		// deterministic evenly-spaced ?sources=k sample.
-		snap := csr()
+		snap := workload.Snap(g)
 		srcs := p.srcs
 		if len(srcs) == 0 {
 			srcs = snap.SampleSources(p.sources)
@@ -986,7 +959,7 @@ func computeAnalysis(g *graphgen.Graph, csr func() *workload.Snapshot, algo stri
 	case "closeness":
 		// Sampled exact closeness centrality: one BFS per pivot, contest
 		// scoring (reachability-corrected), top-k by score.
-		snap := csr()
+		snap := workload.Snap(g)
 		pivots := snap.SampleSources(p.samples)
 		scores := workload.TopCloseness(snap.Closeness(pivots, 0), p.k)
 		type entry struct {

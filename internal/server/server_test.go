@@ -1077,25 +1077,3 @@ func TestSSSPCacheInvalidatedByMutation(t *testing.T) {
 		t.Fatalf("reached %v -> %v after attaching 2 vertices, want +2", before, after)
 	}
 }
-
-// TestCSRMemoPerVersion: sssp and closeness at one version share one CSR
-// build, a newer version replaces it, and a request still at an older
-// version gets its own CSR without displacing the newer one.
-func TestCSRMemoPerVersion(t *testing.T) {
-	g, err := graphgen.NewEngine(datagen.SNB(datagen.SNBConfig{Seed: 1, ScaleFactor: 0.01})).Extract(datagen.QueryKnows)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sess := &session{}
-	a := sess.csrAt(g, 3)
-	if sess.csrAt(g, 3) != a {
-		t.Fatal("a second request at one version rebuilt the CSR")
-	}
-	b := sess.csrAt(g, 4)
-	if b == a {
-		t.Fatal("a newer version reused the older CSR")
-	}
-	if old := sess.csrAt(g, 3); old == b || sess.csrAt(g, 4) != b {
-		t.Fatal("a request at an older version displaced the newer CSR")
-	}
-}
