@@ -145,17 +145,6 @@ func WithAutoIndex(on bool) Option {
 	return func(o *extract.Options) { o.NoIndex = !on }
 }
 
-// WithoutStreaming routes extraction and program evaluation through the
-// legacy operator-at-a-time path: every relational operator materializes
-// its full output before the next starts, instead of the default fused
-// pull-based pipeline that holds only build sides, dedup sets, and index
-// gathers. Both paths produce row-for-row identical graphs; this switch
-// exists as a correctness oracle in equivalence tests and as the
-// peak-memory baseline for the streaming benchmarks. It is deprecated
-// from birth: it will be removed once larger-than-memory extraction
-// lands on the streaming path.
-func WithoutStreaming() Option { return func(o *extract.Options) { o.NoStream = true } }
-
 // WithParallelism bounds the extraction pipeline's worker-pool parallelism:
 // the relational scans, the conjunctive-join probe phase, and the Step-6
 // preprocessing pass all partition their work across n workers with

@@ -8,9 +8,9 @@ import (
 // This file is the secondary-index subsystem: per-column hash indexes that
 // map an encoded column value to the rows carrying it, kept exactly
 // consistent with the table under Insert/Delete/DeleteWhere through the
-// same choke point that feeds the change log (notify), and the access-path
-// operators that exploit them (IndexScan, ScanAuto, IndexedJoin in
-// query.go). The paper's extraction queries lean on PostgreSQL's indexes
+// same choke point that feeds the change log (notify). The access paths
+// that exploit them are NewScan and NewTableJoin (iter.go), under
+// ExecOpts.UseIndex. The paper's extraction queries lean on PostgreSQL's indexes
 // for their equality-predicate scans and equi-joins; these are the
 // relstore substrate's equivalent, so that repeated extractions, the
 // semi-naive delta rounds, and live-graph delta evaluation stop paying a

@@ -163,13 +163,14 @@ func TestIndexMaintenanceRandomized(t *testing.T) {
 	}
 }
 
-// TestIndexScanEquivalence asserts IndexScan and ScanAuto return
-// row-for-row what ScanWorkers returns, on randomized tables, for single
-// and multi-predicate scans.
+// TestIndexScanEquivalence asserts NewScan returns row-for-row what the
+// reference scan returns under every index mode and worker count, on a
+// randomized table spanning several expand windows, for single and
+// multi-predicate scans.
 func TestIndexScanEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	tbl := NewTable("e", Column{"a", Int}, Column{"b", Int}, Column{"c", String})
-	for i := 0; i < 500; i++ {
+	for i := 0; i < 2500; i++ {
 		tbl.Insert(IntVal(int64(rng.Intn(20))), IntVal(int64(rng.Intn(8))), StrVal(fmt.Sprintf("s%d", rng.Intn(5))))
 	}
 	if _, err := tbl.CreateIndex("a"); err != nil {
@@ -182,43 +183,33 @@ func TestIndexScanEquivalence(t *testing.T) {
 		if rng.Intn(2) == 0 {
 			preds = append(preds, Pred{Col: 1, Value: IntVal(int64(rng.Intn(8)))})
 		}
-		want, err := ScanWorkers(tbl, preds, cols, names, 3)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := IndexScan(tbl, preds, cols, names)
-		if err != nil {
-			t.Fatal(err)
-		}
-		relsEqual(t, got, want, fmt.Sprintf("IndexScan trial %d", trial))
-		auto, err := ScanAuto(tbl, preds, cols, names, 3)
-		if err != nil {
-			t.Fatal(err)
-		}
-		relsEqual(t, auto, want, fmt.Sprintf("ScanAuto trial %d", trial))
+		checkModes(t, fmt.Sprintf("scan trial %d", trial), refScan(tbl, preds, cols, names),
+			func(opts ExecOpts) (RowIter, error) { return NewScan(tbl, preds, cols, names, opts) })
 	}
 }
 
 func TestIndexScanErrors(t *testing.T) {
 	_, _, ap := makeAuthors(t)
-	if _, err := IndexScan(ap, []Pred{{Col: 1, Value: IntVal(10)}}, []int{0}, []string{"A"}); err == nil {
-		t.Fatal("IndexScan without an index should error")
+	force := ExecOpts{UseIndex: IndexForce}
+	if _, err := NewScan(ap, []Pred{{Col: 1, Value: IntVal(10)}}, []int{0}, []string{"A"}, force); err == nil {
+		t.Fatal("forced index scan without an index should error")
 	}
 	if _, err := ap.CreateIndex("pid"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := IndexScan(ap, []Pred{{Col: 7, Value: IntVal(10)}}, []int{0}, []string{"A"}); err == nil {
-		t.Fatal("IndexScan with out-of-range predicate column should error")
+	if _, err := NewScan(ap, []Pred{{Col: 7, Value: IntVal(10)}}, []int{0}, []string{"A"}, force); err == nil {
+		t.Fatal("forced index scan with out-of-range predicate column should error")
 	}
-	if _, err := IndexScan(ap, nil, []int{0}, []string{"A"}); err == nil {
-		t.Fatal("IndexScan without predicates should error")
+	if _, err := NewScan(ap, nil, []int{0}, []string{"A"}, force); err == nil {
+		t.Fatal("forced index scan without predicates should error")
 	}
 }
 
-// TestIndexedJoinEquivalence asserts IndexedJoin returns — schema and row
-// order — exactly what the scan-then-MultiJoin pipeline returns, across
-// randomized inputs including duplicate join values on both sides and
-// selection predicates on the table side.
+// TestIndexedJoinEquivalence asserts NewTableJoin returns — schema and
+// row order — exactly what the reference scan-then-join returns, under
+// every index mode and worker count, across randomized inputs including
+// duplicate join values on both sides and selection predicates on the
+// table side.
 func TestIndexedJoinEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	tbl := NewTable("r", Column{"k", Int}, Column{"v", Int}, Column{"tag", String})
@@ -230,6 +221,13 @@ func TestIndexedJoinEquivalence(t *testing.T) {
 	}
 	cols := []int{0, 1}
 	names := []string{"K", "V"}
+	check := func(label string, cur *Rel, preds []Pred) {
+		t.Helper()
+		want := refJoin(cur, refScan(tbl, preds, cols, names), []string{"K"})
+		checkModes(t, label, want, func(opts ExecOpts) (RowIter, error) {
+			return NewTableJoin(IterRel(cur), tbl, preds, cols, names, []string{"K"}, opts)
+		})
+	}
 	for trial := 0; trial < 20; trial++ {
 		cur := &Rel{Cols: []string{"X", "K"}}
 		for i := 0; i < rng.Intn(40); i++ {
@@ -239,19 +237,7 @@ func TestIndexedJoinEquivalence(t *testing.T) {
 		if rng.Intn(2) == 0 {
 			preds = []Pred{{Col: 1, Value: IntVal(int64(rng.Intn(6)))}}
 		}
-		scanned, err := ScanWorkers(tbl, preds, cols, names, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, err := MultiJoinWorkers(cur, scanned, []string{"K"}, 3)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := IndexedJoin(cur, "K", tbl, preds, cols, names, 3)
-		if err != nil {
-			t.Fatal(err)
-		}
-		relsEqual(t, got, want, fmt.Sprintf("IndexedJoin trial %d", trial))
+		check(fmt.Sprintf("table join trial %d", trial), cur, preds)
 	}
 	// Mutate the table (shifting row order) and re-check: the index must
 	// still reproduce the scan order.
@@ -267,35 +253,28 @@ func TestIndexedJoinEquivalence(t *testing.T) {
 	for i := 0; i < 25; i++ {
 		cur.Rows = append(cur.Rows, []Value{IntVal(int64(i)), IntVal(int64(rng.Intn(35)))})
 	}
-	scanned, err := ScanWorkers(tbl, nil, cols, names, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := MultiJoinWorkers(cur, scanned, []string{"K"}, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := IndexedJoin(cur, "K", tbl, nil, cols, names, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	relsEqual(t, got, want, "IndexedJoin after mutations")
+	check("table join after mutations", cur, nil)
 }
 
 func TestIndexedJoinErrors(t *testing.T) {
 	_, _, ap := makeAuthors(t)
 	cur := &Rel{Cols: []string{"P"}, Rows: [][]Value{{IntVal(10)}}}
-	if _, err := IndexedJoin(cur, "P", ap, nil, []int{0, 1}, []string{"A", "P"}, 1); err == nil {
-		t.Fatal("IndexedJoin without an index should error")
+	force := ExecOpts{UseIndex: IndexForce}
+	join := func(shared string, names []string) error {
+		_, err := NewTableJoin(IterRel(cur), ap, nil, []int{0, 1}, names, []string{shared}, force)
+		return err
+	}
+	if join("P", []string{"A", "P"}) == nil {
+		t.Fatal("forced table join without an index should error")
 	}
 	if _, err := ap.CreateIndex("pid"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := IndexedJoin(cur, "Q", ap, nil, []int{0, 1}, []string{"A", "P"}, 1); err == nil {
-		t.Fatal("IndexedJoin with join column missing from cur should error")
+	if join("Q", []string{"A", "P"}) == nil {
+		t.Fatal("table join with join column missing from cur should error")
 	}
-	if _, err := IndexedJoin(cur, "P", ap, nil, []int{0, 1}, []string{"A", "B"}, 1); err == nil {
-		t.Fatal("IndexedJoin with join column missing from projection should error")
+	if join("P", []string{"A", "B"}) == nil {
+		t.Fatal("table join with join column missing from projection should error")
 	}
 }
 
@@ -305,16 +284,21 @@ func TestIndexedJoinErrors(t *testing.T) {
 // worker pool.
 func TestScanWorkersPredOutOfRange(t *testing.T) {
 	_, _, ap := makeAuthors(t)
-	for _, col := range []int{-1, 2, 99} {
-		if _, err := ScanWorkers(ap, []Pred{{Col: col, Value: IntVal(1)}}, []int{0}, []string{"A"}, 2); err == nil {
-			t.Fatalf("predicate column %d: want error, got none", col)
+	if _, err := ap.CreateIndex("pid"); err != nil {
+		t.Fatal(err)
+	}
+	for _, opts := range execModes() {
+		for _, col := range []int{-1, 2, 99} {
+			if _, err := NewScan(ap, []Pred{{Col: col, Value: IntVal(1)}}, []int{0}, []string{"A"}, opts); err == nil {
+				t.Fatalf("predicate column %d (index=%d workers=%d): want error, got none", col, opts.UseIndex, opts.Workers)
+			}
 		}
 	}
 	// In-range predicates still work.
-	rel, err := ScanWorkers(ap, []Pred{{Col: 1, Value: IntVal(10)}}, []int{0}, []string{"A"}, 2)
-	if err != nil || len(rel.Rows) != 3 {
-		t.Fatalf("valid scan: rows=%v err=%v", rel, err)
-	}
+	preds := []Pred{{Col: 1, Value: IntVal(10)}}
+	checkModes(t, "valid scan", refScan(ap, preds, []int{0}, []string{"A"}), func(opts ExecOpts) (RowIter, error) {
+		return NewScan(ap, preds, []int{0}, []string{"A"}, opts)
+	})
 }
 
 // TestHashJoinBuildSideSwap is the regression test for the build-side
@@ -331,31 +315,26 @@ func TestHashJoinBuildSideSwap(t *testing.T) {
 		{IntVal(10), IntVal(101)},
 		{IntVal(30), IntVal(300)},
 	}}
-	wantCols := []string{"x", "p", "y"}
-	wantRows := [][]Value{
+	join := func(a, b *Rel) func(ExecOpts) (RowIter, error) {
+		return func(opts ExecOpts) (RowIter, error) { return NewJoin(IterRel(a), IterRel(b), []string{"p"}, opts) }
+	}
+	// len(b) > len(a).
+	want := &Rel{Cols: []string{"x", "p", "y"}, Rows: [][]Value{
 		{IntVal(1), IntVal(10), IntVal(100)},
 		{IntVal(2), IntVal(20), IntVal(200)},
 		{IntVal(1), IntVal(10), IntVal(101)},
-	}
-	// len(b) > len(a): the pre-fix fast path (build on a).
-	got, err := HashJoin(small, big, "p", "p")
-	if err != nil {
-		t.Fatal(err)
-	}
-	relsEqual(t, got, &Rel{Cols: wantCols, Rows: wantRows}, "a smaller")
+	}}
+	relsEqual(t, refJoin(small, big, []string{"p"}), want, "reference, a smaller")
+	checkModes(t, "a smaller", want, join(small, big))
 
-	// len(b) < len(a): the buggy path used to return b's columns first.
-	wantCols2 := []string{"p", "y", "x"}
-	wantRows2 := [][]Value{
+	// len(b) < len(a): a buggy build-side swap returned b's columns first.
+	want2 := &Rel{Cols: []string{"p", "y", "x"}, Rows: [][]Value{
 		{IntVal(10), IntVal(100), IntVal(1)},
 		{IntVal(10), IntVal(101), IntVal(1)},
 		{IntVal(20), IntVal(200), IntVal(2)},
-	}
-	got2, err := HashJoin(big, small, "p", "p")
-	if err != nil {
-		t.Fatal(err)
-	}
-	relsEqual(t, got2, &Rel{Cols: wantCols2, Rows: wantRows2}, "b smaller")
+	}}
+	relsEqual(t, refJoin(big, small, []string{"p"}), want2, "reference, b smaller")
+	checkModes(t, "b smaller", want2, join(big, small))
 }
 
 // TestHashJoinOrderIndependentOfCardinality grows one side past the other
@@ -369,48 +348,36 @@ func TestHashJoinOrderIndependentOfCardinality(t *testing.T) {
 		a.Rows = append(a.Rows, []Value{IntVal(int64(i)), IntVal(int64(i % 2))})
 		b.Rows = append(b.Rows, []Value{IntVal(int64(i % 2)), IntVal(int64(100 + i))})
 	}
-	before, err := HashJoin(a, b, "p", "p")
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Make a much larger than b: flips the build side, must not flip the
-	// result prefix (the extra rows join nothing).
+	join := func(opts ExecOpts) (RowIter, error) { return NewJoin(IterRel(a), IterRel(b), []string{"p"}, opts) }
+	before := refJoin(a, b, []string{"p"})
+	checkModes(t, "before", before, join)
+	// Make a much larger than b: the extra rows join nothing, so the
+	// result must not change.
 	for i := 0; i < 50; i++ {
 		a.Rows = append(a.Rows, []Value{IntVal(int64(1000 + i)), IntVal(9999)})
 	}
-	after, err := HashJoin(a, b, "p", "p")
-	if err != nil {
-		t.Fatal(err)
-	}
-	relsEqual(t, after, before, "larger a")
+	relsEqual(t, refJoin(a, b, []string{"p"}), before, "reference, larger a")
+	checkModes(t, "larger a", before, join)
 }
 
 // TestMultiJoinEmptyShared is the regression test for the silent
 // cross-product degeneration: an empty shared list must be an explicit
-// error, and CrossWorkers is the spelled-out replacement.
+// error, and NewCross is the spelled-out replacement.
 func TestMultiJoinEmptyShared(t *testing.T) {
 	a := &Rel{Cols: []string{"x"}, Rows: [][]Value{{IntVal(1)}, {IntVal(2)}}}
 	b := &Rel{Cols: []string{"y"}, Rows: [][]Value{{IntVal(10)}, {IntVal(20)}, {IntVal(30)}}}
-	if _, err := MultiJoin(a, b, nil); err == nil {
-		t.Fatal("MultiJoin with empty shared list should error")
-	}
-	if _, err := MultiJoinWorkers(a, b, []string{}, 4); err == nil {
-		t.Fatal("MultiJoinWorkers with empty shared list should error")
-	}
-	cross, err := CrossWorkers(a, b, 2)
-	if err != nil {
-		t.Fatal(err)
+	for _, shared := range [][]string{nil, {}} {
+		if _, err := NewJoin(IterRel(a), IterRel(b), shared, ExecOpts{Workers: 4}); err == nil {
+			t.Fatalf("join with shared list %#v should error", shared)
+		}
 	}
 	want := &Rel{Cols: []string{"x", "y"}, Rows: [][]Value{
 		{IntVal(1), IntVal(10)}, {IntVal(2), IntVal(10)},
 		{IntVal(1), IntVal(20)}, {IntVal(2), IntVal(20)},
 		{IntVal(1), IntVal(30)}, {IntVal(2), IntVal(30)},
 	}}
-	relsEqual(t, cross, want, "CrossWorkers")
-	// The cross product is worker-count independent like every operator.
-	serial, err := CrossWorkers(a, b, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	relsEqual(t, cross, serial, "CrossWorkers parallel vs serial")
+	relsEqual(t, refJoin(a, b, nil), want, "reference cross")
+	checkModes(t, "cross", want, func(opts ExecOpts) (RowIter, error) {
+		return NewCross(IterRel(a), IterRel(b), opts), nil
+	})
 }

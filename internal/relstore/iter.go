@@ -10,16 +10,14 @@ import (
 	"graphgen/internal/parallel"
 )
 
-// This file is the streaming operator layer: composable pull-based
-// iterators over rows, with the same output contracts — schema and
-// row-for-row order — as the materializing operators in query.go (which
-// are now thin Collect wrappers over these constructors). Peak memory of
-// a pipeline is what its operators *hold*, not the sum of every
-// intermediate relation: a scan holds a window, a join holds its build
-// side, distinct holds its seen-set. The equivalence suites
-// (indexed==unindexed, serial≡parallel, semi-naive==naive, live==fresh)
-// therefore carry over unchanged as the correctness oracle for the
-// streaming path.
+// This file is the operator layer: composable pull-based iterators over
+// rows, the one API for every scan, selection, join, cross product and
+// projection. Peak memory of a pipeline is what its operators *hold*,
+// not the sum of every intermediate relation: a scan holds a window, a
+// join holds its build side, distinct holds its seen-set. Collect
+// materializes a pipeline; Materialize interposed after every operator
+// is the operator-at-a-time oracle (extract/datalogeval NoStream) the
+// equivalence suites compare the fused pipeline against.
 //
 // Contracts every iterator obeys:
 //
@@ -67,20 +65,21 @@ type IndexMode uint8
 
 const (
 	// IndexAuto costs the index path against the parallel scan (the
-	// ScanAuto / planner rules) and picks the cheaper one.
+	// planner's rules, see NewScan and NewTableJoin) and picks the
+	// cheaper one.
 	IndexAuto IndexMode = iota
 	// IndexOff always walks the table.
 	IndexOff
 	// IndexForce requires an index and always probes it; constructors
-	// error if no predicate/join column is indexed.
+	// error if no predicate/join column is indexed. It is the hook the
+	// index ≡ scan tests use to pin the index path; production callers
+	// use IndexAuto or IndexOff.
 	IndexForce
 )
 
-// ExecOpts carries the execution knobs every operator constructor takes,
-// replacing the positional `workers int` and the auto-vs-forced function
-// variants of the old free-function API. The zero value — serial enough
-// (Workers 0 resolves to GOMAXPROCS), auto index choice, no tracking —
-// is a sensible default.
+// ExecOpts carries the execution knobs every operator constructor takes.
+// The zero value — Workers 0 resolves to GOMAXPROCS, auto index choice,
+// no tracking — is a sensible default.
 type ExecOpts struct {
 	// Workers partitions parallel stages; <=0 means GOMAXPROCS. Output
 	// order never depends on it.
@@ -166,8 +165,8 @@ func Collect(it RowIter) (*Rel, error) {
 // Materialize eagerly drains it, tracks the materialized rows against tr
 // until the returned iterator is closed, and replays the rows. This is
 // the NoStream oracle mode's stage boundary: interposing Materialize
-// after every operator reproduces the old operator-at-a-time execution —
-// and its peak-memory profile — exactly.
+// after every operator reproduces operator-at-a-time execution — and its
+// peak-memory profile — exactly.
 func Materialize(it RowIter, tr *Tracker) (RowIter, error) {
 	rel, err := Collect(it)
 	if err != nil {
@@ -244,8 +243,7 @@ const expandWindow = 1024
 // expandIter streams src through a pure per-row expansion kernel (emit
 // zero or more output rows per input row), fanning each window of input
 // rows across the worker pool and concatenating per-chunk outputs in
-// chunk order — the streaming form of the MapChunks+concatChunks loops
-// the materializing operators use, with identical output order.
+// chunk order, so output order never depends on the worker count.
 type expandIter struct {
 	cols    []string
 	src     RowIter
@@ -341,9 +339,11 @@ func selectFn(preds []Pred, equalities [][2]int, cols []int) func(Row, func(Row)
 
 // NewScan streams a table scan: equality predicates pushed into the row
 // walk, projecting the listed column indexes under the given names. The
-// access path follows opts.UseIndex: IndexAuto applies the ScanAuto cost
-// rule (index wins when its distinct-key count reaches twice the
-// resolved worker count), IndexForce requires an indexed predicate
+// access path follows opts.UseIndex: IndexAuto costs the index against
+// the parallel scan — an equality predicate over a column with d
+// distinct values touches ~N/d rows through the index versus ~N/workers
+// per worker for the scan, so the index wins once d reaches twice the
+// resolved worker count — IndexForce requires an indexed predicate
 // column and walks the most selective bucket (the driving predicate
 // needs no re-check — the bucket key encoding is injective), IndexOff
 // always walks the table. All paths yield identical rows in table order.
@@ -358,7 +358,7 @@ func NewScan(t *Table, preds []Pred, cols []int, names []string, opts ExecOpts) 
 		switch opts.UseIndex {
 		case IndexForce:
 			if ix == nil {
-				return nil, fmt.Errorf("relstore: IndexScan of %s: no index on any predicate column", t.Name)
+				return nil, fmt.Errorf("relstore: indexed scan of %s: no index on any predicate column", t.Name)
 			}
 			useIndex = true
 		case IndexAuto:
@@ -520,15 +520,15 @@ func (it *buildProbeIter) Close() error {
 
 // NewJoin streams the equi-join of a and b on all shared column names (a
 // composite key): a (the build side) drains into a hash table, b (the
-// probe side) streams through it. Output schema and order match
-// MultiJoinWorkers: a's columns then b's minus the shared ones; rows in
-// b-major order with a's row order inside each b row. An empty shared
-// list is an error — explicit cross products use NewCross.
+// probe side) streams through it. Output: a's columns then b's minus
+// the shared ones; rows in b-major order with a's row order inside each
+// b row. An empty shared list is an error — explicit cross products use
+// NewCross.
 func NewJoin(a, b RowIter, shared []string, opts ExecOpts) (RowIter, error) {
 	acols, bcols := a.Cols(), b.Cols()
 	if len(shared) == 0 {
 		closeAll(a, b)
-		return nil, fmt.Errorf("relstore: join of %v with %v has no shared columns (use CrossWorkers for an explicit cross product)", acols, bcols)
+		return nil, fmt.Errorf("relstore: join of %v with %v has no shared columns (use NewCross for an explicit cross product)", acols, bcols)
 	}
 	ai := make([]int, len(shared))
 	bi := make([]int, len(shared))
@@ -581,58 +581,8 @@ func NewJoin(a, b RowIter, shared []string, opts ExecOpts) (RowIter, error) {
 		}}, sp), nil
 }
 
-// NewHashJoin streams the equi-join of a and b on one column each (the
-// names may differ; a's is kept). Schema and order match HashJoin: a's
-// columns then b's minus bCol, rows in b-major order.
-func NewHashJoin(a, b RowIter, aCol, bCol string, opts ExecOpts) (RowIter, error) {
-	acols, bcols := a.Cols(), b.Cols()
-	ai, ok := colIndex(acols, aCol)
-	if !ok {
-		closeAll(a, b)
-		return nil, fmt.Errorf("relstore: join column %q not in left relation %v", aCol, acols)
-	}
-	bi, ok := colIndex(bcols, bCol)
-	if !ok {
-		closeAll(a, b)
-		return nil, fmt.Errorf("relstore: join column %q not in right relation %v", bCol, bcols)
-	}
-	cols := append([]string(nil), acols...)
-	for j, c := range bcols {
-		if j != bi {
-			cols = append(cols, c)
-		}
-	}
-	nOut := len(cols)
-	aIdx, bIdx := []int{ai}, []int{bi}
-	var sp *obs.Span
-	if opts.Trace != nil {
-		sp = opts.Trace.StartSpan("hash_join", aCol+"="+bCol)
-		sp.SetStrategy("hash build=left")
-	}
-	return traced(&buildProbeIter{cols: cols, build: a, probe: b, opts: opts,
-		mk: func(rows [][]Value) func(Row, func(Row)) {
-			table := make(map[string][][]Value, len(rows))
-			for _, row := range rows {
-				k := joinKey(row, aIdx)
-				table[k] = append(table[k], row)
-			}
-			return func(brow Row, emit func(Row)) {
-				for _, arow := range table[joinKey(brow, bIdx)] {
-					joined := make([]Value, 0, nOut)
-					joined = append(joined, arow...)
-					for j, v := range brow {
-						if j != bi {
-							joined = append(joined, v)
-						}
-					}
-					emit(joined)
-				}
-			}
-		}}, sp), nil
-}
-
 // NewCross streams the cross product: a drains, b streams, one output
-// row per (a row, b row) pair in b-major order (CrossWorkers' order).
+// row per (a row, b row) pair in b-major order with a's row order inside each b row.
 func NewCross(a, b RowIter, opts ExecOpts) RowIter {
 	cols := append(append([]string(nil), a.Cols()...), b.Cols()...)
 	nOut := len(cols)
@@ -657,7 +607,7 @@ func NewCross(a, b RowIter, opts ExecOpts) RowIter {
 // NewTableJoin streams the equi-join of cur against the
 // selection+projection of table t on the shared columns, deferring the
 // access-path choice until cur has drained and its exact cardinality is
-// known — the streaming form of the planner's IndexedJoin-vs-scan rule.
+// known: the planner's index-probe-vs-scan rule.
 // preds/cols/names describe the t side exactly as for NewScan; each
 // shared name must appear in names (bound to a table column) and in
 // cur's schema.
@@ -700,12 +650,12 @@ func NewTableJoin(cur RowIter, t *Table, preds []Pred, cols []int, names []strin
 	if opts.UseIndex == IndexForce {
 		if len(shared) != 1 {
 			closeAll(cur)
-			return nil, fmt.Errorf("relstore: IndexedJoin: composite join key %v on %s", shared, t.Name)
+			return nil, fmt.Errorf("relstore: indexed table join: composite join key %v on %s", shared, t.Name)
 		}
 		if ix == nil {
 			tcol := cols[ni[0]]
 			closeAll(cur)
-			return nil, fmt.Errorf("relstore: IndexedJoin: no index on %s.%s", t.Name, t.Cols[tcol].Name)
+			return nil, fmt.Errorf("relstore: indexed table join: no index on %s.%s", t.Name, t.Cols[tcol].Name)
 		}
 	}
 	outCols := append([]string(nil), curCols...)

@@ -9,30 +9,6 @@ import (
 
 // --- helpers ---
 
-// rowsEqual compares two relations row for row — order included, since
-// every operator contract fixes its output order.
-func rowsEqual(t *testing.T, got, want *Rel, label string) {
-	t.Helper()
-	if len(got.Cols) != len(want.Cols) {
-		t.Fatalf("%s: cols %v vs %v", label, got.Cols, want.Cols)
-	}
-	for i, c := range got.Cols {
-		if want.Cols[i] != c {
-			t.Fatalf("%s: cols %v vs %v", label, got.Cols, want.Cols)
-		}
-	}
-	if len(got.Rows) != len(want.Rows) {
-		t.Fatalf("%s: %d rows vs %d", label, len(got.Rows), len(want.Rows))
-	}
-	for i := range got.Rows {
-		for j := range got.Rows[i] {
-			if !got.Rows[i][j].Equal(want.Rows[i][j]) {
-				t.Fatalf("%s: row %d differs: %v vs %v", label, i, got.Rows[i], want.Rows[i])
-			}
-		}
-	}
-}
-
 // randTable fills a table with random small-domain rows so joins hit and
 // predicates select nontrivially.
 func randTable(t *testing.T, db *DB, rng *rand.Rand, name string, cols []Column, n int) *Table {
@@ -117,7 +93,7 @@ func TestStreamingMaterializingEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatalf("trial %d: materializing: %v", trial, err)
 		}
-		rowsEqual(t, streamed, materialized,
+		relsEqual(t, streamed, materialized,
 			fmt.Sprintf("trial %d (workers=%d index=%d distinct=%t)", trial, workers, useIndex, distinct))
 	}
 }

@@ -6,12 +6,12 @@
 // planner only needs cardinalities and per-column distinct counts
 // (pg_stats' n_distinct), which the catalog provides exactly, plus the
 // index access paths PostgreSQL would answer equality predicates and
-// equi-joins with, which IndexScan/ScanAuto/IndexedJoin provide.
+// equi-joins with, which NewScan and NewTableJoin provide.
 //
-// The row-parallel operators (ScanWorkers, MultiJoinWorkers) partition
-// their input across the shared worker pool and concatenate per-chunk
-// outputs in chunk order, so they return row-for-row the same relation as
-// their serial counterparts for any worker count.
+// The operators are pull-based RowIter pipelines (iter.go). Their
+// parallel stages partition input across the shared worker pool and
+// concatenate per-chunk outputs in chunk order, so they return
+// row-for-row the same relation for any worker count.
 package relstore
 
 import (

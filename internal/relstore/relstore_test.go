@@ -1,6 +1,9 @@
 package relstore
 
-import "testing"
+import (
+	"fmt"
+	"testing"
+)
 
 func makeAuthors(t *testing.T) (*DB, *Table, *Table) {
 	t.Helper()
@@ -79,34 +82,46 @@ func TestNDistinct(t *testing.T) {
 
 func TestScanWithPredicates(t *testing.T) {
 	_, _, ap := makeAuthors(t)
-	rel, err := Scan(ap, []Pred{{Col: 1, Value: IntVal(10)}}, []int{0}, []string{"a"})
-	if err != nil {
+	if _, err := ap.CreateIndex("pid"); err != nil {
 		t.Fatal(err)
 	}
-	if len(rel.Rows) != 3 {
-		t.Fatalf("rows = %d, want 3", len(rel.Rows))
+	preds := []Pred{{Col: 1, Value: IntVal(10)}}
+	want := refScan(ap, preds, []int{0}, []string{"a"})
+	if len(want.Rows) != 3 {
+		t.Fatalf("reference rows = %d, want 3", len(want.Rows))
 	}
-	if _, err := Scan(ap, nil, []int{5}, []string{"x"}); err == nil {
-		t.Fatal("expected out-of-range column error")
-	}
-	if _, err := Scan(ap, nil, []int{0, 1}, []string{"x"}); err == nil {
-		t.Fatal("expected arity mismatch error")
+	checkModes(t, "scan pid=10", want, func(opts ExecOpts) (RowIter, error) {
+		return NewScan(ap, preds, []int{0}, []string{"a"}, opts)
+	})
+	for _, opts := range execModes() {
+		if _, err := NewScan(ap, preds, []int{5}, []string{"x"}, opts); err == nil {
+			t.Fatal("expected out-of-range column error")
+		}
+		if _, err := NewScan(ap, preds, []int{0, 1}, []string{"x"}, opts); err == nil {
+			t.Fatal("expected arity mismatch error")
+		}
 	}
 }
 
 func TestHashJoinSelfJoin(t *testing.T) {
 	_, _, ap := makeAuthors(t)
-	left, _ := Scan(ap, nil, []int{0, 1}, []string{"a1", "p"})
-	right, _ := Scan(ap, nil, []int{0, 1}, []string{"a2", "p"})
-	joined, err := HashJoin(left, right, "p", "p")
-	if err != nil {
+	if _, err := ap.CreateIndex("pid"); err != nil {
 		t.Fatal(err)
 	}
+	left := refScan(ap, nil, []int{0, 1}, []string{"a1", "p"})
+	right := refScan(ap, nil, []int{0, 1}, []string{"a2", "p"})
+	want := refJoin(left, right, []string{"p"})
 	// pid 10 has 3 authors -> 9 pairs; pid 20 has 2 -> 4; pid 30 has 1 -> 1.
-	if len(joined.Rows) != 14 {
-		t.Fatalf("join rows = %d, want 14", len(joined.Rows))
+	if len(want.Rows) != 14 {
+		t.Fatalf("reference join rows = %d, want 14", len(want.Rows))
 	}
-	if _, err := HashJoin(left, right, "nope", "p"); err == nil {
+	checkModes(t, "join", want, func(opts ExecOpts) (RowIter, error) {
+		return NewJoin(IterRel(left), IterRel(right), []string{"p"}, opts)
+	})
+	checkModes(t, "table join", want, func(opts ExecOpts) (RowIter, error) {
+		return NewTableJoin(IterRel(left), ap, nil, []int{0, 1}, []string{"a2", "p"}, []string{"p"}, opts)
+	})
+	if _, err := NewJoin(IterRel(left), IterRel(right), []string{"nope"}, ExecOpts{}); err == nil {
 		t.Fatal("expected missing join column error")
 	}
 }
@@ -121,33 +136,32 @@ func TestMultiJoinCompositeKey(t *testing.T) {
 		{IntVal(1), IntVal(2), StrVal("q")},
 		{IntVal(2), IntVal(1), StrVal("r")},
 	}}
-	j, err := MultiJoin(a, b, []string{"x", "y"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(j.Rows) != 2 {
-		t.Fatalf("composite join rows = %d, want 2", len(j.Rows))
-	}
-	if len(j.Cols) != 4 { // x, y, v, w
-		t.Fatalf("cols = %v", j.Cols)
-	}
+	want := &Rel{Cols: []string{"x", "y", "v", "w"}, Rows: [][]Value{
+		{IntVal(1), IntVal(1), StrVal("a"), StrVal("p")},
+		{IntVal(1), IntVal(2), StrVal("b"), StrVal("q")},
+	}}
+	relsEqual(t, refJoin(a, b, []string{"x", "y"}), want, "reference")
+	checkModes(t, "composite join", want, func(opts ExecOpts) (RowIter, error) {
+		return NewJoin(IterRel(a), IterRel(b), []string{"x", "y"}, opts)
+	})
 }
 
 func TestProjectDistinct(t *testing.T) {
 	_, _, ap := makeAuthors(t)
-	rel, _ := Scan(ap, nil, []int{1}, []string{"p"})
-	d, err := Project(rel, []string{"p"}, true)
-	if err != nil {
-		t.Fatal(err)
+	rel := refScan(ap, nil, []int{1}, []string{"p"})
+	for _, tc := range []struct {
+		distinct bool
+		rows     int
+	}{{true, 3}, {false, 6}} {
+		want := refProject(rel, []string{"p"}, tc.distinct)
+		if len(want.Rows) != tc.rows {
+			t.Fatalf("distinct=%t: reference rows = %d, want %d", tc.distinct, len(want.Rows), tc.rows)
+		}
+		checkModes(t, fmt.Sprintf("project distinct=%t", tc.distinct), want, func(opts ExecOpts) (RowIter, error) {
+			return NewProject(IterRel(rel), []string{"p"}, tc.distinct, opts)
+		})
 	}
-	if len(d.Rows) != 3 {
-		t.Fatalf("distinct rows = %d, want 3", len(d.Rows))
-	}
-	nd, _ := Project(rel, []string{"p"}, false)
-	if len(nd.Rows) != 6 {
-		t.Fatalf("non-distinct rows = %d, want 6", len(nd.Rows))
-	}
-	if _, err := Project(rel, []string{"zzz"}, true); err == nil {
+	if _, err := NewProject(IterRel(rel), []string{"zzz"}, true, ExecOpts{}); err == nil {
 		t.Fatal("expected missing-column error")
 	}
 }
@@ -324,22 +338,19 @@ func TestJoinKeyDelimiterStrings(t *testing.T) {
 	b := &Rel{Cols: []string{"x", "y", "z"}, Rows: [][]Value{
 		{StrVal("a|sb"), StrVal("c"), IntVal(1)},
 	}}
-	out, err := MultiJoin(a, b, []string{"x", "y"})
-	if err != nil {
-		t.Fatal(err)
+	want := refJoin(a, b, []string{"x", "y"})
+	if len(want.Rows) != 1 || !want.Rows[0][0].Equal(StrVal("a|sb")) {
+		t.Fatalf("reference join = %v, want the one a|sb row", want.Rows)
 	}
-	if len(out.Rows) != 1 {
-		t.Fatalf("join produced %d rows, want 1 (ambiguous keys matched a phantom pair)", len(out.Rows))
-	}
-	if !out.Rows[0][0].Equal(StrVal("a|sb")) {
-		t.Fatalf("joined the wrong row: %v", out.Rows[0])
-	}
+	checkModes(t, "delimiter join", want, func(opts ExecOpts) (RowIter, error) {
+		return NewJoin(IterRel(a), IterRel(b), []string{"x", "y"}, opts)
+	})
 	// Distinct projection must keep both delimiter-twins.
-	proj, err := Project(a, []string{"x", "y"}, true)
-	if err != nil {
-		t.Fatal(err)
+	twins := refProject(a, []string{"x", "y"}, true)
+	if len(twins.Rows) != 2 {
+		t.Fatalf("reference distinct dropped a delimiter-twin: %d rows, want 2", len(twins.Rows))
 	}
-	if len(proj.Rows) != 2 {
-		t.Fatalf("distinct dropped a delimiter-twin: %d rows, want 2", len(proj.Rows))
-	}
+	checkModes(t, "delimiter distinct", twins, func(opts ExecOpts) (RowIter, error) {
+		return NewProject(IterRel(a), []string{"x", "y"}, true, opts)
+	})
 }

@@ -40,7 +40,7 @@ type cacheEntry struct {
 }
 
 // CacheStats is a point-in-time snapshot of cache counters, exposed by
-// GET /metrics.
+// GET /v1/metrics.
 type CacheStats struct {
 	Hits      int64 `json:"hits"`
 	Misses    int64 `json:"misses"`

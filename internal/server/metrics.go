@@ -24,7 +24,7 @@ var (
 	evalDerivedBounds = obs.ExpBuckets(1, 4, 16)
 )
 
-// RouteStats is the marshaled per-route view in /metrics: request count
+// RouteStats is the marshaled per-route view in /v1/metrics: request count
 // split by status class, the worst single request, and the full latency
 // distribution (seconds; cumulative exponential buckets).
 type RouteStats struct {
@@ -67,7 +67,7 @@ type EvalStats struct {
 }
 
 // metrics tracks per-route request counters and latency histograms plus
-// the program-evaluation counters. It is the /metrics backing store; the
+// the program-evaluation counters. It is the /v1/metrics backing store; the
 // cache keeps its own counters.
 type metrics struct {
 	mu    sync.Mutex

@@ -174,7 +174,7 @@ func TestRequestIDEnvelopeLogAgreement(t *testing.T) {
 // TestMetricsStatusClasses exercises the per-route status-class split:
 // 2xx and 4xx traffic on one route land in separate classes, errors
 // equals the 4xx count, the latency histogram accounts every request,
-// and deprecated-alias rows stay distinct from their /v1 twins.
+// and each route keeps its own row.
 func TestMetricsStatusClasses(t *testing.T) {
 	_, ts := newTestServer(t, 30, 20)
 	createSession(t, ts, "co", false)
@@ -187,8 +187,8 @@ func TestMetricsStatusClasses(t *testing.T) {
 	if code, _ := doJSON(t, "GET", ts.URL+"/v1/graphs/ghost/stats", nil); code != http.StatusNotFound {
 		t.Fatal("expected 404")
 	}
-	if code, _ := doJSON(t, "GET", ts.URL+"/healthz", nil); code != http.StatusOK {
-		t.Fatal("legacy healthz failed")
+	if code, _ := doJSON(t, "GET", ts.URL+"/v1/healthz", nil); code != http.StatusOK {
+		t.Fatal("healthz failed")
 	}
 
 	_, m := doJSON(t, "GET", ts.URL+"/v1/metrics", nil)
@@ -222,8 +222,8 @@ func TestMetricsStatusClasses(t *testing.T) {
 		t.Errorf("terminator bucket = %v, want le +Inf count 3", last)
 	}
 
-	if alias := stats("GET /healthz (deprecated)"); alias["count"] != float64(1) {
-		t.Errorf("deprecated alias row count = %v, want 1", alias["count"])
+	if health := stats("GET /v1/healthz"); health["count"] != float64(1) {
+		t.Errorf("healthz row count = %v, want 1", health["count"])
 	}
 }
 
@@ -376,7 +376,7 @@ func TestCreateAnalyzeProgramReconciles(t *testing.T) {
 		case "round":
 			rounds++
 			roundRows += s["rows"].(float64)
-		case "scan", "select", "filter", "join", "hash_join", "cross", "table_join", "project":
+		case "scan", "select", "filter", "join", "cross", "table_join", "project":
 			operators++
 		}
 	})

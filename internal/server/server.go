@@ -4,8 +4,7 @@
 // sessions — static snapshots or live graphs maintained incrementally as
 // the tables change (cmd/graphgend is the binary front end).
 //
-// Endpoints (versioned under /v1; the bare legacy routes remain as
-// aliases and label themselves "(deprecated)" in /metrics route stats):
+// Endpoints, all under /v1 (a bare path such as /graphs is not routed):
 //
 //	POST   /v1/graphs                          extract a query or Datalog program into a session
 //	GET    /v1/graphs                          list sessions
@@ -48,7 +47,7 @@
 // extraction. Program sessions are static-only: derived predicates are
 // not incrementally maintained under table mutations, so live=true is
 // rejected with a clear error — re-create the session to observe new
-// data. /metrics aggregates their evaluation counters (programs run,
+// data. /v1/metrics aggregates their evaluation counters (programs run,
 // strata, iterations, derived tuples) under "datalog_eval".
 //
 // Analytics results are memoized in a size-bounded LRU keyed by
@@ -170,10 +169,10 @@ type Server struct {
 	mux     *http.ServeMux
 
 	// dbIndexes caches the last observed secondary-index count for
-	// /metrics: the authoritative count must be read under dbMu (index
+	// /v1/metrics: the authoritative count must be read under dbMu (index
 	// structures are created by extractions and walked by mutations), but
 	// a monitoring endpoint must never block behind a long-running
-	// extraction, so /metrics refreshes the cache only when the lock is
+	// extraction, so /v1/metrics refreshes the cache only when the lock is
 	// free and otherwise serves the stale value.
 	dbIndexes atomic.Int64
 }
@@ -203,27 +202,21 @@ func New(engine *graphgen.Engine, opts Options) *Server {
 		logger:           logger,
 	}
 	s.mux = http.NewServeMux()
-	// Every endpoint registers twice: the canonical versioned pattern under
-	// /v1, and the pre-versioning bare pattern as a compatibility alias.
-	// The alias serves the identical handler but is labeled "(deprecated)"
-	// in /metrics route stats, so operators can watch legacy traffic drain
-	// before the alias is removed.
-	route := func(method, path string, h http.HandlerFunc) {
-		v1 := method + " /v1" + path
-		legacy := method + " " + path
-		s.mux.HandleFunc(v1, s.instrument(v1, h))
-		s.mux.HandleFunc(legacy, s.instrument(legacy+" (deprecated)", h))
+	// Every endpoint registers once, under /v1; the pattern doubles as
+	// its route label in /v1/metrics.
+	route := func(pattern string, h http.HandlerFunc) {
+		s.mux.HandleFunc(pattern, s.instrument(pattern, h))
 	}
-	route("POST", "/graphs", s.handleCreateGraph)
-	route("GET", "/graphs", s.handleListGraphs)
-	route("DELETE", "/graphs/{name}", s.handleDeleteGraph)
-	route("GET", "/graphs/{name}/stats", s.handleStats)
-	route("GET", "/graphs/{name}/neighbors", s.handleNeighbors)
-	route("GET", "/graphs/{name}/analyze/{algo}", s.handleAnalyze)
-	route("POST", "/db/{table}/insert", s.handleMutate("insert"))
-	route("POST", "/db/{table}/delete", s.handleMutate("delete"))
-	route("GET", "/healthz", s.handleHealthz)
-	route("GET", "/metrics", s.handleMetrics)
+	route("POST /v1/graphs", s.handleCreateGraph)
+	route("GET /v1/graphs", s.handleListGraphs)
+	route("DELETE /v1/graphs/{name}", s.handleDeleteGraph)
+	route("GET /v1/graphs/{name}/stats", s.handleStats)
+	route("GET /v1/graphs/{name}/neighbors", s.handleNeighbors)
+	route("GET /v1/graphs/{name}/analyze/{algo}", s.handleAnalyze)
+	route("POST /v1/db/{table}/insert", s.handleMutate("insert"))
+	route("POST /v1/db/{table}/delete", s.handleMutate("delete"))
+	route("GET /v1/healthz", s.handleHealthz)
+	route("GET /v1/metrics", s.handleMetrics)
 	if opts.EnablePprof {
 		// Deliberately not registered through route(): the profiling
 		// surface is unversioned, opt-in, and uninstrumented (a pprof
@@ -413,7 +406,7 @@ type createRequest struct {
 
 func (s *Server) handleCreateGraph(w http.ResponseWriter, r *http.Request) {
 	var req createRequest
-	if err := json.NewDecoder(io.LimitReader(r.Body, 1<<20)).Decode(&req); err != nil {
+	if err := decodeBody(w, r, 1<<20, &req); err != nil {
 		s.error(w, r, http.StatusBadRequest, codeBadJSON, "invalid JSON body: %v", err)
 		return
 	}
@@ -1002,16 +995,18 @@ func (s *Server) mutate(op string, w http.ResponseWriter, r *http.Request) {
 		s.error(w, r, http.StatusNotFound, codeTableNotFound, "%v", err)
 		return
 	}
-	dec := json.NewDecoder(io.LimitReader(r.Body, 8<<20))
-	dec.UseNumber()
 	var req mutateRequest
-	if err := dec.Decode(&req); err != nil {
+	if err := decodeBody(w, r, 8<<20, &req); err != nil {
 		s.error(w, r, http.StatusBadRequest, codeBadJSON, "invalid JSON body: %v", err)
+		return
+	}
+	if req.Row != nil && req.Rows != nil {
+		s.error(w, r, http.StatusBadRequest, codeBadParam, `"row" and "rows" are mutually exclusive`)
 		return
 	}
 	rows := req.Rows
 	if req.Row != nil {
-		rows = append(rows, req.Row)
+		rows = [][]any{req.Row}
 	}
 	if len(rows) == 0 {
 		s.error(w, r, http.StatusBadRequest, codeBadParam, `body must carry "row" (one tuple) or "rows" (a batch)`)
@@ -1055,6 +1050,23 @@ func (s *Server) mutate(op string, w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeJSON(w, http.StatusOK, map[string]any{"table": table.Name, "op": op, "applied": applied, "requested": len(typed)})
+}
+
+// decodeBody decodes a request body of at most limit bytes that must
+// hold exactly one JSON value. Numbers decode as json.Number so integer
+// cells keep full int64 precision. Anything but whitespace after the
+// value is an error: a second object would otherwise be silently
+// dropped.
+func decodeBody(w http.ResponseWriter, r *http.Request, limit int64, v any) error {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, limit))
+	dec.UseNumber()
+	if err := dec.Decode(v); err != nil {
+		return err
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return errors.New("unexpected data after the JSON value")
+	}
+	return nil
 }
 
 // convertRow types a JSON row against the table schema: numbers for Int

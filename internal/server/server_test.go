@@ -71,7 +71,7 @@ func errEnvelope(t testing.TB, body map[string]any) (code, message string) {
 
 func createSession(t testing.TB, ts *httptest.Server, name string, live bool) {
 	t.Helper()
-	code, body := doJSON(t, "POST", ts.URL+"/graphs", map[string]any{
+	code, body := doJSON(t, "POST", ts.URL+"/v1/graphs", map[string]any{
 		"name": name, "query": datagen.QueryCoauthors, "live": live,
 	})
 	if code != http.StatusCreated {
@@ -83,7 +83,7 @@ func TestStaticSessionLifecycle(t *testing.T) {
 	_, ts := newTestServer(t, 200, 150)
 	createSession(t, ts, "co", false)
 
-	code, stats := doJSON(t, "GET", ts.URL+"/graphs/co/stats", nil)
+	code, stats := doJSON(t, "GET", ts.URL+"/v1/graphs/co/stats", nil)
 	if code != http.StatusOK {
 		t.Fatalf("stats: status %d: %v", code, stats)
 	}
@@ -94,30 +94,30 @@ func TestStaticSessionLifecycle(t *testing.T) {
 		t.Fatalf("static session version = %v, want 0", stats["version"])
 	}
 
-	code, list := doJSON(t, "GET", ts.URL+"/graphs", nil)
+	code, list := doJSON(t, "GET", ts.URL+"/v1/graphs", nil)
 	if code != http.StatusOK || len(list["sessions"].([]any)) != 1 {
 		t.Fatalf("list: status %d, %v", code, list)
 	}
 
 	for _, algo := range []string{"degree", "pagerank", "components", "bfs", "triangles"} {
-		code, res := doJSON(t, "GET", ts.URL+"/graphs/co/analyze/"+algo, nil)
+		code, res := doJSON(t, "GET", ts.URL+"/v1/graphs/co/analyze/"+algo, nil)
 		if code != http.StatusOK {
 			t.Fatalf("analyze %s: status %d: %v", algo, code, res)
 		}
 		if res["cached"] != false {
 			t.Fatalf("analyze %s first run reported cached", algo)
 		}
-		code, res = doJSON(t, "GET", ts.URL+"/graphs/co/analyze/"+algo, nil)
+		code, res = doJSON(t, "GET", ts.URL+"/v1/graphs/co/analyze/"+algo, nil)
 		if code != http.StatusOK || res["cached"] != true {
 			t.Fatalf("analyze %s second run not cached: status %d, %v", algo, code, res)
 		}
 	}
 
-	code, _ = doJSON(t, "DELETE", ts.URL+"/graphs/co", nil)
+	code, _ = doJSON(t, "DELETE", ts.URL+"/v1/graphs/co", nil)
 	if code != http.StatusOK {
 		t.Fatalf("delete: status %d", code)
 	}
-	code, _ = doJSON(t, "GET", ts.URL+"/graphs/co/stats", nil)
+	code, _ = doJSON(t, "GET", ts.URL+"/v1/graphs/co/stats", nil)
 	if code != http.StatusNotFound {
 		t.Fatalf("stats after delete: status %d, want 404", code)
 	}
@@ -126,14 +126,14 @@ func TestStaticSessionLifecycle(t *testing.T) {
 func TestNeighborsEndpoint(t *testing.T) {
 	_, ts := newTestServer(t, 100, 80)
 	createSession(t, ts, "co", false)
-	code, res := doJSON(t, "GET", ts.URL+"/graphs/co/neighbors?v=1", nil)
+	code, res := doJSON(t, "GET", ts.URL+"/v1/graphs/co/neighbors?v=1", nil)
 	if code != http.StatusOK {
 		t.Fatalf("neighbors: status %d: %v", code, res)
 	}
 	if int(res["degree"].(float64)) != len(res["neighbors"].([]any)) {
 		t.Fatalf("degree/neighbors mismatch: %v", res)
 	}
-	if code, _ := doJSON(t, "GET", ts.URL+"/graphs/co/neighbors", nil); code != http.StatusBadRequest {
+	if code, _ := doJSON(t, "GET", ts.URL+"/v1/graphs/co/neighbors", nil); code != http.StatusBadRequest {
 		t.Fatalf("neighbors without v: status %d, want 400", code)
 	}
 }
@@ -145,11 +145,11 @@ func TestLiveMutationInvalidatesCache(t *testing.T) {
 	_, ts := newTestServer(t, 200, 150)
 	createSession(t, ts, "co", true)
 
-	_, first := doJSON(t, "GET", ts.URL+"/graphs/co/analyze/components", nil)
+	_, first := doJSON(t, "GET", ts.URL+"/v1/graphs/co/analyze/components", nil)
 	if first["cached"] != false {
 		t.Fatal("first analyze reported cached")
 	}
-	_, second := doJSON(t, "GET", ts.URL+"/graphs/co/analyze/components", nil)
+	_, second := doJSON(t, "GET", ts.URL+"/v1/graphs/co/analyze/components", nil)
 	if second["cached"] != true {
 		t.Fatal("second analyze not cached")
 	}
@@ -159,13 +159,13 @@ func TestLiveMutationInvalidatesCache(t *testing.T) {
 
 	// Route a mutation through the daemon: the live session must follow
 	// and the cached result must be invalidated (new snapshot version).
-	code, res := doJSON(t, "POST", ts.URL+"/db/AuthorPub/insert", map[string]any{
+	code, res := doJSON(t, "POST", ts.URL+"/v1/db/AuthorPub/insert", map[string]any{
 		"row": []any{1, 999999},
 	})
 	if code != http.StatusOK || res["applied"].(float64) != 1 {
 		t.Fatalf("insert: status %d, %v", code, res)
 	}
-	_, third := doJSON(t, "GET", ts.URL+"/graphs/co/analyze/components", nil)
+	_, third := doJSON(t, "GET", ts.URL+"/v1/graphs/co/analyze/components", nil)
 	if third["cached"] != false {
 		t.Fatal("analyze after mutation served a stale cached result")
 	}
@@ -174,13 +174,13 @@ func TestLiveMutationInvalidatesCache(t *testing.T) {
 	}
 
 	// Deleting the inserted tuple flushes again: version advances again.
-	code, res = doJSON(t, "POST", ts.URL+"/db/AuthorPub/delete", map[string]any{
+	code, res = doJSON(t, "POST", ts.URL+"/v1/db/AuthorPub/delete", map[string]any{
 		"row": []any{1, 999999},
 	})
 	if code != http.StatusOK || res["applied"].(float64) != 1 {
 		t.Fatalf("delete: status %d, %v", code, res)
 	}
-	_, fourth := doJSON(t, "GET", ts.URL+"/graphs/co/analyze/components", nil)
+	_, fourth := doJSON(t, "GET", ts.URL+"/v1/graphs/co/analyze/components", nil)
 	if fourth["cached"] != false || fourth["version"] == third["version"] {
 		t.Fatalf("delete did not invalidate: %v vs %v", fourth, third)
 	}
@@ -188,14 +188,14 @@ func TestLiveMutationInvalidatesCache(t *testing.T) {
 
 func TestBatchInsertAndDeleteCounts(t *testing.T) {
 	_, ts := newTestServer(t, 50, 40)
-	code, res := doJSON(t, "POST", ts.URL+"/db/AuthorPub/insert", map[string]any{
+	code, res := doJSON(t, "POST", ts.URL+"/v1/db/AuthorPub/insert", map[string]any{
 		"rows": []any{[]any{1, 777777}, []any{2, 777777}},
 	})
 	if code != http.StatusOK || res["applied"].(float64) != 2 {
 		t.Fatalf("batch insert: status %d, %v", code, res)
 	}
 	// Deleting one present and one absent row reports applied=1.
-	code, res = doJSON(t, "POST", ts.URL+"/db/AuthorPub/delete", map[string]any{
+	code, res = doJSON(t, "POST", ts.URL+"/v1/db/AuthorPub/delete", map[string]any{
 		"rows": []any{[]any{1, 777777}, []any{1, 888888}},
 	})
 	if code != http.StatusOK || res["applied"].(float64) != 1 || res["requested"].(float64) != 2 {
@@ -213,25 +213,25 @@ func TestErrorStatuses(t *testing.T) {
 		body   any
 		want   int
 	}{
-		{"bad JSON", "POST", "/graphs", nil, http.StatusBadRequest},
-		{"empty name", "POST", "/graphs", map[string]any{"query": "x"}, http.StatusBadRequest},
-		{"dotdot name", "POST", "/graphs", map[string]any{"name": "..", "query": datagen.QueryCoauthors}, http.StatusBadRequest},
-		{"percent name", "POST", "/graphs", map[string]any{"name": "a%2Fb", "query": datagen.QueryCoauthors}, http.StatusBadRequest},
-		{"empty query", "POST", "/graphs", map[string]any{"name": "q"}, http.StatusBadRequest},
-		{"bad query", "POST", "/graphs", map[string]any{"name": "q", "query": "Nodes("}, http.StatusBadRequest},
-		{"duplicate session", "POST", "/graphs", map[string]any{"name": "co", "query": datagen.QueryCoauthors}, http.StatusConflict},
-		{"unknown session stats", "GET", "/graphs/nope/stats", nil, http.StatusNotFound},
-		{"unknown session analyze", "GET", "/graphs/nope/analyze/pagerank", nil, http.StatusNotFound},
-		{"unknown analysis", "GET", "/graphs/co/analyze/eigenvector", nil, http.StatusBadRequest},
-		{"bad iters", "GET", "/graphs/co/analyze/pagerank?iters=0", nil, http.StatusBadRequest},
-		{"bad damping", "GET", "/graphs/co/analyze/pagerank?damping=2", nil, http.StatusBadRequest},
-		{"bad k", "GET", "/graphs/co/analyze/degree?k=-1", nil, http.StatusBadRequest},
-		{"bad src", "GET", "/graphs/co/analyze/bfs?src=abc", nil, http.StatusBadRequest},
-		{"unknown table", "POST", "/db/NoSuch/insert", map[string]any{"row": []any{1}}, http.StatusNotFound},
-		{"bad arity", "POST", "/db/AuthorPub/insert", map[string]any{"row": []any{1}}, http.StatusBadRequest},
-		{"wrong type", "POST", "/db/AuthorPub/insert", map[string]any{"row": []any{"x", 2}}, http.StatusBadRequest},
-		{"no rows", "POST", "/db/AuthorPub/insert", map[string]any{}, http.StatusBadRequest},
-		{"delete unknown session", "DELETE", "/graphs/nope", nil, http.StatusNotFound},
+		{"bad JSON", "POST", "/v1/graphs", nil, http.StatusBadRequest},
+		{"empty name", "POST", "/v1/graphs", map[string]any{"query": "x"}, http.StatusBadRequest},
+		{"dotdot name", "POST", "/v1/graphs", map[string]any{"name": "..", "query": datagen.QueryCoauthors}, http.StatusBadRequest},
+		{"percent name", "POST", "/v1/graphs", map[string]any{"name": "a%2Fb", "query": datagen.QueryCoauthors}, http.StatusBadRequest},
+		{"empty query", "POST", "/v1/graphs", map[string]any{"name": "q"}, http.StatusBadRequest},
+		{"bad query", "POST", "/v1/graphs", map[string]any{"name": "q", "query": "Nodes("}, http.StatusBadRequest},
+		{"duplicate session", "POST", "/v1/graphs", map[string]any{"name": "co", "query": datagen.QueryCoauthors}, http.StatusConflict},
+		{"unknown session stats", "GET", "/v1/graphs/nope/stats", nil, http.StatusNotFound},
+		{"unknown session analyze", "GET", "/v1/graphs/nope/analyze/pagerank", nil, http.StatusNotFound},
+		{"unknown analysis", "GET", "/v1/graphs/co/analyze/eigenvector", nil, http.StatusBadRequest},
+		{"bad iters", "GET", "/v1/graphs/co/analyze/pagerank?iters=0", nil, http.StatusBadRequest},
+		{"bad damping", "GET", "/v1/graphs/co/analyze/pagerank?damping=2", nil, http.StatusBadRequest},
+		{"bad k", "GET", "/v1/graphs/co/analyze/degree?k=-1", nil, http.StatusBadRequest},
+		{"bad src", "GET", "/v1/graphs/co/analyze/bfs?src=abc", nil, http.StatusBadRequest},
+		{"unknown table", "POST", "/v1/db/NoSuch/insert", map[string]any{"row": []any{1}}, http.StatusNotFound},
+		{"bad arity", "POST", "/v1/db/AuthorPub/insert", map[string]any{"row": []any{1}}, http.StatusBadRequest},
+		{"wrong type", "POST", "/v1/db/AuthorPub/insert", map[string]any{"row": []any{"x", 2}}, http.StatusBadRequest},
+		{"no rows", "POST", "/v1/db/AuthorPub/insert", map[string]any{}, http.StatusBadRequest},
+		{"delete unknown session", "DELETE", "/v1/graphs/nope", nil, http.StatusNotFound},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -257,17 +257,17 @@ func TestErrorStatuses(t *testing.T) {
 func TestParamCanonicalizationSharesCacheEntries(t *testing.T) {
 	_, ts := newTestServer(t, 80, 60)
 	createSession(t, ts, "co", false)
-	_, first := doJSON(t, "GET", ts.URL+"/graphs/co/analyze/pagerank?iters=20&damping=0.85&k=10", nil)
+	_, first := doJSON(t, "GET", ts.URL+"/v1/graphs/co/analyze/pagerank?iters=20&damping=0.85&k=10", nil)
 	if first["cached"] != false {
 		t.Fatal("first request reported cached")
 	}
 	// Default spelling must hit the explicit spelling's entry.
-	_, second := doJSON(t, "GET", ts.URL+"/graphs/co/analyze/pagerank", nil)
+	_, second := doJSON(t, "GET", ts.URL+"/v1/graphs/co/analyze/pagerank", nil)
 	if second["cached"] != true {
 		t.Fatalf("defaulted params missed the canonical entry: %v", second["params"])
 	}
 	// Different params are a different entry.
-	_, third := doJSON(t, "GET", ts.URL+"/graphs/co/analyze/pagerank?iters=5", nil)
+	_, third := doJSON(t, "GET", ts.URL+"/v1/graphs/co/analyze/pagerank?iters=5", nil)
 	if third["cached"] != false {
 		t.Fatal("different params served the wrong cache entry")
 	}
@@ -276,13 +276,13 @@ func TestParamCanonicalizationSharesCacheEntries(t *testing.T) {
 func TestHealthzAndMetrics(t *testing.T) {
 	_, ts := newTestServer(t, 50, 40)
 	createSession(t, ts, "co", false)
-	code, health := doJSON(t, "GET", ts.URL+"/healthz", nil)
+	code, health := doJSON(t, "GET", ts.URL+"/v1/healthz", nil)
 	if code != http.StatusOK || health["status"] != "ok" || health["sessions"].(float64) != 1 {
 		t.Fatalf("healthz: %d %v", code, health)
 	}
-	doJSON(t, "GET", ts.URL+"/graphs/co/analyze/components", nil)
-	doJSON(t, "GET", ts.URL+"/graphs/co/analyze/components", nil)
-	code, m := doJSON(t, "GET", ts.URL+"/metrics", nil)
+	doJSON(t, "GET", ts.URL+"/v1/graphs/co/analyze/components", nil)
+	doJSON(t, "GET", ts.URL+"/v1/graphs/co/analyze/components", nil)
+	code, m := doJSON(t, "GET", ts.URL+"/v1/metrics", nil)
 	if code != http.StatusOK {
 		t.Fatalf("metrics: status %d", code)
 	}
@@ -291,9 +291,7 @@ func TestHealthzAndMetrics(t *testing.T) {
 		t.Fatalf("cache counters not tracked: %v", cache)
 	}
 	reqs := m["requests"].(map[string]any)
-	// Requests arrived on the bare legacy routes, so the route stats carry
-	// the deprecation label; the /v1 spellings get their own entries.
-	analyze, ok := reqs["GET /graphs/{name}/analyze/{algo} (deprecated)"].(map[string]any)
+	analyze, ok := reqs["GET /v1/graphs/{name}/analyze/{algo}"].(map[string]any)
 	if !ok || analyze["count"].(float64) < 2 {
 		t.Fatalf("per-route metrics missing: %v", reqs)
 	}
@@ -323,19 +321,19 @@ func TestConcurrentMixedLoad(t *testing.T) {
 				)
 				switch rng.Intn(6) {
 				case 0: // single-tuple insert, live graph follows
-					code, err = postJSON(ts.URL+"/db/AuthorPub/insert",
+					code, err = postJSON(ts.URL+"/v1/db/AuthorPub/insert",
 						map[string]any{"row": []any{rng.Intn(300) + 1, 900000 + rng.Intn(50)}})
 				case 1: // single-tuple delete (row may be absent: still 200)
-					code, err = postJSON(ts.URL+"/db/AuthorPub/delete",
+					code, err = postJSON(ts.URL+"/v1/db/AuthorPub/delete",
 						map[string]any{"row": []any{rng.Intn(300) + 1, 900000 + rng.Intn(50)}})
 				case 2:
-					code, err = getStatus(ts.URL + "/graphs/co/stats")
+					code, err = getStatus(ts.URL + "/v1/graphs/co/stats")
 				case 3:
-					code, err = getStatus(fmt.Sprintf("%s/graphs/co/neighbors?v=%d", ts.URL, rng.Intn(300)+1))
+					code, err = getStatus(fmt.Sprintf("%s/v1/graphs/co/neighbors?v=%d", ts.URL, rng.Intn(300)+1))
 				case 4:
-					code, err = getStatus(ts.URL + "/graphs/co/analyze/components")
+					code, err = getStatus(ts.URL + "/v1/graphs/co/analyze/components")
 				case 5:
-					code, err = getStatus(ts.URL + "/graphs/co/analyze/degree?k=5")
+					code, err = getStatus(ts.URL + "/v1/graphs/co/analyze/degree?k=5")
 				}
 				if err != nil {
 					errs <- err
@@ -355,7 +353,7 @@ func TestConcurrentMixedLoad(t *testing.T) {
 	}
 
 	// The session must still be serving a sane graph after the storm.
-	code, stats := doJSON(t, "GET", ts.URL+"/graphs/co/stats", nil)
+	code, stats := doJSON(t, "GET", ts.URL+"/v1/graphs/co/stats", nil)
 	if code != http.StatusOK {
 		t.Fatalf("final stats: %d", code)
 	}
@@ -398,15 +396,15 @@ func TestLiveEqualsFreshExtractionAfterServedMutations(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for i := 0; i < 40; i++ {
 		row := []any{rng.Intn(120) + 1, 800000 + rng.Intn(30)}
-		path := "/db/AuthorPub/insert"
+		path := "/v1/db/AuthorPub/insert"
 		if rng.Intn(3) == 0 {
-			path = "/db/AuthorPub/delete"
+			path = "/v1/db/AuthorPub/delete"
 		}
 		if code, err := postJSON(ts.URL+path, map[string]any{"row": row}); err != nil || code != http.StatusOK {
 			t.Fatalf("mutation %d: code %d err %v", i, code, err)
 		}
 	}
-	_, liveStats := doJSON(t, "GET", ts.URL+"/graphs/live/stats", nil)
+	_, liveStats := doJSON(t, "GET", ts.URL+"/v1/graphs/live/stats", nil)
 	fresh, err := s.engine.Extract(datagen.QueryCoauthors)
 	if err != nil {
 		t.Fatal(err)
@@ -424,7 +422,7 @@ func TestCachedAnalyzeSpeedup(t *testing.T) {
 	_, ts := newTestServer(t, 2000, 1600)
 	createSession(t, ts, "co", false)
 
-	url := ts.URL + "/graphs/co/analyze/pagerank?iters=40"
+	url := ts.URL + "/v1/graphs/co/analyze/pagerank?iters=40"
 	start := time.Now()
 	code, first := doJSON(t, "GET", url, nil)
 	firstDur := time.Since(start)
@@ -469,18 +467,18 @@ func TestConcurrentDeleteVsMutation(t *testing.T) {
 			default:
 			}
 			row := map[string]any{"row": []any{i%100 + 1, 910000 + i%20}}
-			if code, err := postJSON(ts.URL+"/db/AuthorPub/insert", row); err != nil || code != http.StatusOK {
+			if code, err := postJSON(ts.URL+"/v1/db/AuthorPub/insert", row); err != nil || code != http.StatusOK {
 				t.Errorf("insert: code %d err %v", code, err)
 				return
 			}
-			postJSON(ts.URL+"/db/AuthorPub/delete", row)
+			postJSON(ts.URL+"/v1/db/AuthorPub/delete", row)
 		}
 	}()
 	for round := 0; round < 10; round++ {
 		name := fmt.Sprintf("s%d", round)
 		createSession(t, ts, name, true)
-		doJSON(t, "GET", ts.URL+"/graphs/"+name+"/analyze/components", nil)
-		if code, _ := doJSON(t, "DELETE", ts.URL+"/graphs/"+name, nil); code != http.StatusOK {
+		doJSON(t, "GET", ts.URL+"/v1/graphs/"+name+"/analyze/components", nil)
+		if code, _ := doJSON(t, "DELETE", ts.URL+"/v1/graphs/"+name, nil); code != http.StatusOK {
 			t.Fatalf("delete round %d: %d", round, code)
 		}
 	}
@@ -497,22 +495,22 @@ func TestConcurrentDeleteVsMutation(t *testing.T) {
 func TestRecreatedSessionDoesNotInheritCache(t *testing.T) {
 	_, ts := newTestServer(t, 100, 80)
 	createSession(t, ts, "g", false)
-	_, first := doJSON(t, "GET", ts.URL+"/graphs/g/analyze/components", nil)
+	_, first := doJSON(t, "GET", ts.URL+"/v1/graphs/g/analyze/components", nil)
 	if first["cached"] != false {
 		t.Fatal("first analyze reported cached")
 	}
-	if code, _ := doJSON(t, "DELETE", ts.URL+"/graphs/g", nil); code != http.StatusOK {
+	if code, _ := doJSON(t, "DELETE", ts.URL+"/v1/graphs/g", nil); code != http.StatusOK {
 		t.Fatal("delete failed")
 	}
 	// Same name, different graph shape: a single-author query.
-	code, body := doJSON(t, "POST", ts.URL+"/graphs", map[string]any{
+	code, body := doJSON(t, "POST", ts.URL+"/v1/graphs", map[string]any{
 		"name":  "g",
 		"query": "Nodes(ID, Name) :- Author(ID, Name).\nEdges(A, B) :- AuthorPub(A, P), AuthorPub(B, P).",
 	})
 	if code != http.StatusCreated {
 		t.Fatalf("re-create: %d %v", code, body)
 	}
-	_, res := doJSON(t, "GET", ts.URL+"/graphs/g/analyze/components", nil)
+	_, res := doJSON(t, "GET", ts.URL+"/v1/graphs/g/analyze/components", nil)
 	if res["cached"] != false {
 		t.Fatal("re-created session served the deleted session's cached result")
 	}
@@ -529,14 +527,14 @@ func TestSessionCap(t *testing.T) {
 	defer ts.Close()
 	defer s.Close()
 	createSession(t, ts, "one", false)
-	code, body := doJSON(t, "POST", ts.URL+"/graphs", map[string]any{
+	code, body := doJSON(t, "POST", ts.URL+"/v1/graphs", map[string]any{
 		"name": "two", "query": datagen.QueryCoauthors,
 	})
 	if code != http.StatusTooManyRequests {
 		t.Fatalf("create past cap: status %d, %v", code, body)
 	}
 	// Freeing a slot makes room again.
-	doJSON(t, "DELETE", ts.URL+"/graphs/one", nil)
+	doJSON(t, "DELETE", ts.URL+"/v1/graphs/one", nil)
 	createSession(t, ts, "two", false)
 }
 
@@ -550,10 +548,10 @@ func TestCacheEviction(t *testing.T) {
 	createSession(t, ts, "co", false)
 	// Three distinct entries through a 2-entry cache: the first must be
 	// evicted and recompute.
-	doJSON(t, "GET", ts.URL+"/graphs/co/analyze/bfs?src=1", nil)
-	doJSON(t, "GET", ts.URL+"/graphs/co/analyze/bfs?src=2", nil)
-	doJSON(t, "GET", ts.URL+"/graphs/co/analyze/bfs?src=3", nil)
-	_, res := doJSON(t, "GET", ts.URL+"/graphs/co/analyze/bfs?src=1", nil)
+	doJSON(t, "GET", ts.URL+"/v1/graphs/co/analyze/bfs?src=1", nil)
+	doJSON(t, "GET", ts.URL+"/v1/graphs/co/analyze/bfs?src=2", nil)
+	doJSON(t, "GET", ts.URL+"/v1/graphs/co/analyze/bfs?src=3", nil)
+	_, res := doJSON(t, "GET", ts.URL+"/v1/graphs/co/analyze/bfs?src=1", nil)
 	if res["cached"] != false {
 		t.Fatal("evicted entry served as cached")
 	}
@@ -580,7 +578,7 @@ Edges(A, B) :- Reach(A, B).
 // reachability fixpoint of the underlying co-author relation.
 func TestProgramSessionMatchesFixpoint(t *testing.T) {
 	s, ts := newTestServer(t, 60, 45)
-	code, body := doJSON(t, "POST", ts.URL+"/graphs", map[string]any{
+	code, body := doJSON(t, "POST", ts.URL+"/v1/graphs", map[string]any{
 		"name": "reach", "program": reachProgram,
 	})
 	if code != http.StatusCreated {
@@ -646,7 +644,7 @@ func TestProgramSessionMatchesFixpoint(t *testing.T) {
 		src := row[0].I
 		want := reach(src)
 		delete(want, src) // extraction drops self loops by default
-		code, res := doJSON(t, "GET", fmt.Sprintf("%s/graphs/reach/neighbors?v=%d", ts.URL, src), nil)
+		code, res := doJSON(t, "GET", fmt.Sprintf("%s/v1/graphs/reach/neighbors?v=%d", ts.URL, src), nil)
 		if code != http.StatusOK {
 			t.Fatalf("neighbors(%d): status %d: %v", src, code, res)
 		}
@@ -670,7 +668,7 @@ func TestProgramSessionValidation(t *testing.T) {
 	_, ts := newTestServer(t, 40, 30)
 
 	// live=true with a program: clear static-only error.
-	code, body := doJSON(t, "POST", ts.URL+"/graphs", map[string]any{
+	code, body := doJSON(t, "POST", ts.URL+"/v1/graphs", map[string]any{
 		"name": "p1", "program": reachProgram, "live": true,
 	})
 	if ecode, msg := errEnvelope(t, body); code != http.StatusBadRequest || ecode != "bad_param" || !strings.Contains(msg, "static-only") {
@@ -678,7 +676,7 @@ func TestProgramSessionValidation(t *testing.T) {
 	}
 
 	// query and program together.
-	code, body = doJSON(t, "POST", ts.URL+"/graphs", map[string]any{
+	code, body = doJSON(t, "POST", ts.URL+"/v1/graphs", map[string]any{
 		"name": "p2", "program": reachProgram, "query": datagen.QueryCoauthors,
 	})
 	if ecode, msg := errEnvelope(t, body); code != http.StatusBadRequest || ecode != "bad_param" || !strings.Contains(msg, "mutually exclusive") {
@@ -686,13 +684,13 @@ func TestProgramSessionValidation(t *testing.T) {
 	}
 
 	// neither.
-	code, body = doJSON(t, "POST", ts.URL+"/graphs", map[string]any{"name": "p3"})
+	code, body = doJSON(t, "POST", ts.URL+"/v1/graphs", map[string]any{"name": "p3"})
 	if code != http.StatusBadRequest {
 		t.Fatalf("neither: status %d, body %v", code, body)
 	}
 
 	// unstratifiable program surfaces as extraction failure.
-	code, body = doJSON(t, "POST", ts.URL+"/graphs", map[string]any{
+	code, body = doJSON(t, "POST", ts.URL+"/v1/graphs", map[string]any{
 		"name":    "p4",
 		"program": "P(A) :- Author(A, _), !P(A).\nNodes(A) :- Author(A, _).\nEdges(A, B) :- P(A), P(B).",
 	})
@@ -706,7 +704,7 @@ func TestProgramSessionValidation(t *testing.T) {
 func TestMetricsEvalCounters(t *testing.T) {
 	_, ts := newTestServer(t, 40, 30)
 
-	code, m := doJSON(t, "GET", ts.URL+"/metrics", nil)
+	code, m := doJSON(t, "GET", ts.URL+"/v1/metrics", nil)
 	if code != http.StatusOK {
 		t.Fatalf("metrics: %d", code)
 	}
@@ -717,7 +715,7 @@ func TestMetricsEvalCounters(t *testing.T) {
 
 	createSession(t, ts, "plain", false) // query sessions must not count
 	for _, name := range []string{"r1", "r2"} {
-		code, body := doJSON(t, "POST", ts.URL+"/graphs", map[string]any{
+		code, body := doJSON(t, "POST", ts.URL+"/v1/graphs", map[string]any{
 			"name": name, "program": reachProgram,
 		})
 		if code != http.StatusCreated {
@@ -725,11 +723,11 @@ func TestMetricsEvalCounters(t *testing.T) {
 		}
 	}
 	// A failed program must not bump the counters.
-	doJSON(t, "POST", ts.URL+"/graphs", map[string]any{
+	doJSON(t, "POST", ts.URL+"/v1/graphs", map[string]any{
 		"name": "bad", "program": "Nodes(",
 	})
 
-	code, m = doJSON(t, "GET", ts.URL+"/metrics", nil)
+	code, m = doJSON(t, "GET", ts.URL+"/v1/metrics", nil)
 	if code != http.StatusOK {
 		t.Fatalf("metrics: %d", code)
 	}
@@ -745,7 +743,7 @@ func TestMetricsEvalCounters(t *testing.T) {
 	}
 
 	// Sessions listing flags program sessions.
-	_, list := doJSON(t, "GET", ts.URL+"/graphs", nil)
+	_, list := doJSON(t, "GET", ts.URL+"/v1/graphs", nil)
 	progCount := 0
 	for _, it := range list["sessions"].([]any) {
 		if it.(map[string]any)["program"] == true {
@@ -762,21 +760,21 @@ func TestMetricsEvalCounters(t *testing.T) {
 // recursion fails fast instead of stalling the daemon under dbMu.
 func TestProgramSessionDerivedBudget(t *testing.T) {
 	_, ts := newTestServer(t, 60, 45)
-	code, body := doJSON(t, "POST", ts.URL+"/graphs", map[string]any{
+	code, body := doJSON(t, "POST", ts.URL+"/v1/graphs", map[string]any{
 		"name": "tiny", "program": reachProgram, "max_derived_tuples": 5,
 	})
 	if ecode, msg := errEnvelope(t, body); code != http.StatusBadRequest || ecode != "budget_exceeded" || !strings.Contains(msg, "derived tuples exceed") {
 		t.Fatalf("budgeted create: status %d, body %v", code, body)
 	}
 	// The failed evaluation must not leave a session behind.
-	if code, _ := doJSON(t, "GET", ts.URL+"/graphs/tiny/stats", nil); code != http.StatusNotFound {
+	if code, _ := doJSON(t, "GET", ts.URL+"/v1/graphs/tiny/stats", nil); code != http.StatusNotFound {
 		t.Fatalf("failed session visible: %d", code)
 	}
 	// A per-request value cannot raise the server cap.
 	s2 := New(graphgen.NewEngine(datagen.DBLPLike(7, 60, 45)), Options{MaxDerivedTuples: 5})
 	ts2 := httptest.NewServer(s2.Handler())
 	defer func() { ts2.Close(); s2.Close() }()
-	code, body = doJSON(t, "POST", ts2.URL+"/graphs", map[string]any{
+	code, body = doJSON(t, "POST", ts2.URL+"/v1/graphs", map[string]any{
 		"name": "raise", "program": reachProgram, "max_derived_tuples": 1 << 40,
 	})
 	if ecode, msg := errEnvelope(t, body); code != http.StatusBadRequest || ecode != "budget_exceeded" || !strings.Contains(msg, "derived tuples exceed") {
@@ -805,15 +803,15 @@ func TestIndexConsistencyOverHTTP(t *testing.T) {
 				return
 			default:
 			}
-			if _, err := getStatus(ts.URL + "/graphs/live/stats"); err != nil {
+			if _, err := getStatus(ts.URL + "/v1/graphs/live/stats"); err != nil {
 				t.Error(err)
 				return
 			}
-			if _, err := getStatus(ts.URL + "/graphs/live/analyze/degree"); err != nil {
+			if _, err := getStatus(ts.URL + "/v1/graphs/live/analyze/degree"); err != nil {
 				t.Error(err)
 				return
 			}
-			if _, err := getStatus(ts.URL + "/metrics"); err != nil {
+			if _, err := getStatus(ts.URL + "/v1/metrics"); err != nil {
 				t.Error(err)
 				return
 			}
@@ -826,7 +824,7 @@ func TestIndexConsistencyOverHTTP(t *testing.T) {
 		if rng.Intn(3) == 0 {
 			op = "delete"
 		}
-		if _, err := postJSON(ts.URL+"/db/AuthorPub/"+op, map[string]any{"row": row}); err != nil {
+		if _, err := postJSON(ts.URL+"/v1/db/AuthorPub/"+op, map[string]any{"row": row}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -889,7 +887,7 @@ func TestIndexConsistencyOverHTTP(t *testing.T) {
 // once an extraction has auto-created indexes.
 func TestMetricsReportsIndexes(t *testing.T) {
 	_, ts := newTestServer(t, 40, 60)
-	code, m := doJSON(t, "GET", ts.URL+"/metrics", nil)
+	code, m := doJSON(t, "GET", ts.URL+"/v1/metrics", nil)
 	if code != http.StatusOK {
 		t.Fatalf("metrics: status %d", code)
 	}
@@ -897,7 +895,7 @@ func TestMetricsReportsIndexes(t *testing.T) {
 		t.Fatalf("db_indexes before extraction = %v, want 0", m["db_indexes"])
 	}
 	createSession(t, ts, "co", false)
-	_, m = doJSON(t, "GET", ts.URL+"/metrics", nil)
+	_, m = doJSON(t, "GET", ts.URL+"/v1/metrics", nil)
 	if n, ok := m["db_indexes"].(float64); !ok || n < 1 {
 		t.Fatalf("db_indexes after extraction = %v, want >= 1", m["db_indexes"])
 	}
@@ -916,7 +914,7 @@ func newSNBServer(t testing.TB, sf float64) *httptest.Server {
 
 func createSNBSession(t testing.TB, ts *httptest.Server, name string, live bool) {
 	t.Helper()
-	code, body := doJSON(t, "POST", ts.URL+"/graphs", map[string]any{
+	code, body := doJSON(t, "POST", ts.URL+"/v1/graphs", map[string]any{
 		"name": name, "query": datagen.QueryKnows, "live": live,
 	})
 	if code != http.StatusCreated {
@@ -938,8 +936,8 @@ func TestSSSPAndClosenessStaticLiveAgree(t *testing.T) {
 		"sssp?srcs=1,2,3",
 		"closeness?samples=16&k=5",
 	} {
-		_, statRes := doJSON(t, "GET", ts.URL+"/graphs/stat/analyze/"+query, nil)
-		_, liveRes := doJSON(t, "GET", ts.URL+"/graphs/live/analyze/"+query, nil)
+		_, statRes := doJSON(t, "GET", ts.URL+"/v1/graphs/stat/analyze/"+query, nil)
+		_, liveRes := doJSON(t, "GET", ts.URL+"/v1/graphs/live/analyze/"+query, nil)
 		sr, lr := statRes["result"], liveRes["result"]
 		if sr == nil || lr == nil {
 			t.Fatalf("%s: missing result payloads: static %v live %v", query, statRes, liveRes)
@@ -959,7 +957,7 @@ func TestSSSPEndpoint(t *testing.T) {
 	ts := newSNBServer(t, 0.02)
 	createSNBSession(t, ts, "g", false)
 
-	code, res := doJSON(t, "GET", ts.URL+"/graphs/g/analyze/sssp?srcs=3,1,2,2", nil)
+	code, res := doJSON(t, "GET", ts.URL+"/v1/graphs/g/analyze/sssp?srcs=3,1,2,2", nil)
 	if code != http.StatusOK {
 		t.Fatalf("sssp: status %d: %v", code, res)
 	}
@@ -975,13 +973,13 @@ func TestSSSPEndpoint(t *testing.T) {
 		t.Fatalf("sssp reached nothing: %v", result)
 	}
 	// The permuted spelling hits the cache entry of the canonical one.
-	code, res = doJSON(t, "GET", ts.URL+"/graphs/g/analyze/sssp?srcs=2,3,1", nil)
+	code, res = doJSON(t, "GET", ts.URL+"/v1/graphs/g/analyze/sssp?srcs=2,3,1", nil)
 	if code != http.StatusOK || res["cached"] != true {
 		t.Fatalf("permuted srcs missed the cache: %v", res)
 	}
 
 	// A source absent from the graph is dropped, not an error.
-	code, res = doJSON(t, "GET", ts.URL+"/graphs/g/analyze/sssp?srcs=999999999", nil)
+	code, res = doJSON(t, "GET", ts.URL+"/v1/graphs/g/analyze/sssp?srcs=999999999", nil)
 	if code != http.StatusOK {
 		t.Fatalf("sssp with unknown src: status %d: %v", code, res)
 	}
@@ -991,7 +989,7 @@ func TestSSSPEndpoint(t *testing.T) {
 	}
 
 	for _, bad := range []string{"srcs=a,b", "sources=0", "sources=abc"} {
-		code, res = doJSON(t, "GET", ts.URL+"/graphs/g/analyze/sssp?"+bad, nil)
+		code, res = doJSON(t, "GET", ts.URL+"/v1/graphs/g/analyze/sssp?"+bad, nil)
 		if code != http.StatusBadRequest {
 			t.Fatalf("sssp?%s: status %d, want 400: %v", bad, code, res)
 		}
@@ -1004,7 +1002,7 @@ func TestClosenessEndpoint(t *testing.T) {
 	ts := newSNBServer(t, 0.02)
 	createSNBSession(t, ts, "g", false)
 
-	code, res := doJSON(t, "GET", ts.URL+"/graphs/g/analyze/closeness?samples=12&k=3", nil)
+	code, res := doJSON(t, "GET", ts.URL+"/v1/graphs/g/analyze/closeness?samples=12&k=3", nil)
 	if code != http.StatusOK {
 		t.Fatalf("closeness: status %d: %v", code, res)
 	}
@@ -1029,7 +1027,7 @@ func TestClosenessEndpoint(t *testing.T) {
 		}
 	}
 
-	code, res = doJSON(t, "GET", ts.URL+"/graphs/g/analyze/closeness?samples=-1", nil)
+	code, res = doJSON(t, "GET", ts.URL+"/v1/graphs/g/analyze/closeness?samples=-1", nil)
 	if code != http.StatusBadRequest {
 		t.Fatalf("closeness?samples=-1: status %d, want 400: %v", code, res)
 	}
@@ -1042,7 +1040,7 @@ func TestSSSPCacheInvalidatedByMutation(t *testing.T) {
 	ts := newSNBServer(t, 0.02)
 	createSNBSession(t, ts, "live", true)
 
-	code, res := doJSON(t, "GET", ts.URL+"/graphs/live/analyze/sssp?srcs=1", nil)
+	code, res := doJSON(t, "GET", ts.URL+"/v1/graphs/live/analyze/sssp?srcs=1", nil)
 	if code != http.StatusOK {
 		t.Fatalf("sssp: status %d: %v", code, res)
 	}
@@ -1054,18 +1052,18 @@ func TestSSSPCacheInvalidatedByMutation(t *testing.T) {
 		{777000001, "pat", "country-0"},
 		{777000002, "kim", "country-0"},
 	} {
-		code, mres := doJSON(t, "POST", ts.URL+"/db/Person/insert", map[string]any{"row": row})
+		code, mres := doJSON(t, "POST", ts.URL+"/v1/db/Person/insert", map[string]any{"row": row})
 		if code != http.StatusOK {
 			t.Fatalf("insert person %v: status %d: %v", row, code, mres)
 		}
 	}
 	for _, row := range [][]int64{{1, 777000001}, {777000001, 1}, {777000001, 777000002}, {777000002, 777000001}} {
-		code, mres := doJSON(t, "POST", ts.URL+"/db/Knows/insert", map[string]any{"row": row})
+		code, mres := doJSON(t, "POST", ts.URL+"/v1/db/Knows/insert", map[string]any{"row": row})
 		if code != http.StatusOK {
 			t.Fatalf("insert %v: status %d: %v", row, code, mres)
 		}
 	}
-	code, res = doJSON(t, "GET", ts.URL+"/graphs/live/analyze/sssp?srcs=1", nil)
+	code, res = doJSON(t, "GET", ts.URL+"/v1/graphs/live/analyze/sssp?srcs=1", nil)
 	if code != http.StatusOK {
 		t.Fatalf("sssp after insert: status %d: %v", code, res)
 	}

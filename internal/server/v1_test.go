@@ -3,86 +3,63 @@ package server
 import (
 	"encoding/json"
 	"net/http"
-	"reflect"
 	"strings"
 	"testing"
 
 	"graphgen/internal/datagen"
 )
 
-// TestV1RoutesAliasLegacy pins the versioning contract: every /v1 route
-// and its bare legacy alias are served by the same handler and return
-// byte-identical payloads (modulo fields that measure the request
-// itself, like uptime).
-func TestV1RoutesAliasLegacy(t *testing.T) {
-	_, ts := newTestServer(t, 40, 30)
-	code, body := doJSON(t, "POST", ts.URL+"/v1/graphs", map[string]any{
-		"name": "co", "query": datagen.QueryCoauthors,
-	})
-	if code != http.StatusCreated {
-		t.Fatalf("create via /v1: status %d, body %v", code, body)
+// TestBarePathsNotRouted pins the single HTTP surface: every endpoint
+// lives under /v1 only, a bare pre-versioning path is a 404 that
+// changes nothing, and no route label in /v1/metrics is marked
+// "(deprecated)".
+func TestBarePathsNotRouted(t *testing.T) {
+	s, ts := newTestServer(t, 40, 30)
+	author, err := s.engine.DB().Table("Author")
+	if err != nil {
+		t.Fatal(err)
 	}
-	paths := []string{
-		"/graphs",
-		"/graphs/co/stats",
-		"/graphs/co/neighbors?v=1",
+	before := author.NumRows()
+	if code, err := getStatus(ts.URL + "/graphs"); err != nil || code != http.StatusNotFound {
+		t.Fatalf("GET /graphs: status %d, err %v, want 404", code, err)
 	}
-	for _, path := range paths {
-		legacyCode, legacy := doJSON(t, "GET", ts.URL+path, nil)
-		v1Code, v1 := doJSON(t, "GET", ts.URL+"/v1"+path, nil)
-		if legacyCode != v1Code {
-			t.Fatalf("%s: legacy status %d, /v1 status %d", path, legacyCode, v1Code)
-		}
-		if !reflect.DeepEqual(legacy, v1) {
-			t.Fatalf("%s: legacy payload %v, /v1 payload %v", path, legacy, v1)
-		}
+	if code, err := postJSON(ts.URL+"/db/Author/insert", map[string]any{"row": []any{999, "x"}}); err != nil || code != http.StatusNotFound {
+		t.Fatalf("POST /db/Author/insert: status %d, err %v, want 404", code, err)
 	}
-	// Healthz payloads share shape; uptime advances between the requests.
-	legacyCode, legacy := doJSON(t, "GET", ts.URL+"/healthz", nil)
-	v1Code, v1 := doJSON(t, "GET", ts.URL+"/v1/healthz", nil)
-	if legacyCode != http.StatusOK || v1Code != http.StatusOK ||
-		legacy["status"] != v1["status"] || legacy["sessions"] != v1["sessions"] {
-		t.Fatalf("healthz mismatch: legacy %v, /v1 %v", legacy, v1)
+	if author.NumRows() != before {
+		t.Fatalf("bare-path insert changed Author: %d rows, want %d", author.NumRows(), before)
 	}
-	// Errors carry the same envelope on both spellings, modulo the
-	// per-request id (each request gets its own).
-	legacyCode, legacy = doJSON(t, "GET", ts.URL+"/graphs/nope/stats", nil)
-	v1Code, v1 = doJSON(t, "GET", ts.URL+"/v1/graphs/nope/stats", nil)
-	if legacyCode != http.StatusNotFound || v1Code != http.StatusNotFound {
-		t.Fatalf("missing session: legacy %d, /v1 %d", legacyCode, v1Code)
+	if code, _ := doJSON(t, "GET", ts.URL+"/v1/graphs", nil); code != http.StatusOK {
+		t.Fatalf("GET /v1/graphs: status %d", code)
 	}
-	for _, body := range []map[string]any{legacy, v1} {
-		inner := body["error"].(map[string]any)
-		if id, _ := inner["request_id"].(string); id == "" {
-			t.Fatalf("error envelope missing request_id: %v", body)
-		}
-		delete(inner, "request_id")
-	}
-	if !reflect.DeepEqual(legacy, v1) {
-		t.Fatalf("error envelope mismatch: legacy %v, /v1 %v", legacy, v1)
-	}
-	// Both spellings appear in /metrics route stats; the legacy one is
-	// labeled deprecated so operators can watch its traffic drain.
 	_, m := doJSON(t, "GET", ts.URL+"/v1/metrics", nil)
 	reqs := m["requests"].(map[string]any)
-	if _, ok := reqs["GET /v1/graphs/{name}/stats"]; !ok {
+	if _, ok := reqs["GET /v1/graphs"]; !ok {
 		t.Fatalf("no /v1 route label in metrics: %v", reqs)
 	}
-	if _, ok := reqs["GET /graphs/{name}/stats (deprecated)"]; !ok {
-		t.Fatalf("no deprecated legacy label in metrics: %v", reqs)
+	for label := range reqs {
+		if strings.Contains(label, "(deprecated)") {
+			t.Fatalf("route label %q is marked deprecated", label)
+		}
 	}
 }
 
 // TestErrorEnvelopeCodes walks the error surface and asserts each
 // failure mode returns its documented stable code.
 func TestErrorEnvelopeCodes(t *testing.T) {
-	_, ts := newTestServer(t, 40, 30)
+	s, ts := newTestServer(t, 40, 30)
 	code, body := doJSON(t, "POST", ts.URL+"/v1/graphs", map[string]any{
 		"name": "co", "query": datagen.QueryCoauthors,
 	})
 	if code != http.StatusCreated {
 		t.Fatalf("create: status %d, body %v", code, body)
 	}
+	// No rejected mutation below may apply a row.
+	author, err := s.engine.DB().Table("Author")
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := author.NumRows()
 
 	cases := []struct {
 		name       string
@@ -103,6 +80,7 @@ func TestErrorEnvelopeCodes(t *testing.T) {
 		{"unknown table", "POST", "/v1/db/Nope/insert", map[string]any{"row": []any{1}}, http.StatusNotFound, "table_not_found"},
 		{"empty mutation", "POST", "/v1/db/Author/insert", map[string]any{}, http.StatusBadRequest, "bad_param"},
 		{"arity mismatch", "POST", "/v1/db/Author/insert", map[string]any{"row": []any{1}}, http.StatusBadRequest, "bad_param"},
+		{"row and rows", "POST", "/v1/db/Author/insert", map[string]any{"row": []any{900, "x"}, "rows": [][]any{{901, "y"}}}, http.StatusBadRequest, "bad_param"},
 	}
 	for _, tc := range cases {
 		code, body := doJSON(t, tc.method, ts.URL+tc.path, tc.body)
@@ -115,18 +93,30 @@ func TestErrorEnvelopeCodes(t *testing.T) {
 		}
 	}
 
-	// Malformed JSON cannot go through doJSON's marshaler.
-	resp, err := http.Post(ts.URL+"/v1/graphs", "application/json", strings.NewReader("{not json"))
-	if err != nil {
-		t.Fatal(err)
+	// Malformed and trailing-data bodies cannot go through doJSON's
+	// marshaler.
+	for _, tc := range []struct{ name, path, body string }{
+		{"malformed JSON", "/v1/graphs", "{not json"},
+		{"trailing object on create", "/v1/graphs", `{"name": "tr", "query": "x"} {"name": "tr2"}`},
+		{"trailing object on insert", "/v1/db/Author/insert", `{"row": [900, "x"]}{"row": [901, "y"]}`},
+		{"trailing garbage on delete", "/v1/db/Author/delete", `{"row": [1, "x"]} junk`},
+	} {
+		resp, err := http.Post(ts.URL+tc.path, "application/json", strings.NewReader(tc.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out map[string]any
+		derr := json.NewDecoder(resp.Body).Decode(&out)
+		resp.Body.Close()
+		if derr != nil {
+			t.Fatal(derr)
+		}
+		gotCode, _ := errEnvelope(t, out)
+		if resp.StatusCode != http.StatusBadRequest || gotCode != "bad_json" {
+			t.Errorf("%s: status %d code %q, want 400 bad_json", tc.name, resp.StatusCode, gotCode)
+		}
 	}
-	defer resp.Body.Close()
-	var out map[string]any
-	if derr := json.NewDecoder(resp.Body).Decode(&out); derr != nil {
-		t.Fatal(derr)
-	}
-	gotCode, _ := errEnvelope(t, out)
-	if resp.StatusCode != http.StatusBadRequest || gotCode != "bad_json" {
-		t.Fatalf("malformed JSON: status %d code %q", resp.StatusCode, gotCode)
+	if author.NumRows() != before {
+		t.Fatalf("rejected requests changed Author: %d rows, want %d", author.NumRows(), before)
 	}
 }

@@ -23,6 +23,14 @@ go vet "$@"
 echo "== graphlint"
 go run ./cmd/graphlint -counts "$@"
 
+echo "== no Deprecated: markers in non-test Go code"
+out=$(grep -rn --include='*.go' --exclude='*_test.go' 'Deprecated:' . || true)
+if [ -n "$out" ]; then
+    echo "non-test Go code carries a Deprecated: marker; delete the path instead:" >&2
+    echo "$out" >&2
+    exit 1
+fi
+
 if command -v staticcheck >/dev/null 2>&1; then
     echo "== staticcheck ($(staticcheck -version 2>/dev/null || echo unknown))"
     staticcheck "$@"

@@ -34,7 +34,7 @@ Edges(ID1, ID2) :- AuthorPubYear(ID1, P, Y), AuthorPubYear(ID2, P, Y).
 
 // BenchmarkStreamingExtraction times the low-selectivity extraction
 // through the default fused streaming pipeline and the legacy
-// materializing path (WithoutStreaming), reporting each arm's peak
+// materializing oracle (extract.Options.NoStream), reporting each arm's peak
 // intermediate rows as a benchjson extra metric next to ns/op.
 func BenchmarkStreamingExtraction(b *testing.B) {
 	db, prog := streamingBenchWorkload()

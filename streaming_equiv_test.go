@@ -1,8 +1,8 @@
 package graphgen
 
-// Equivalence of the default fused streaming pipeline against the legacy
-// materializing execution (Options.NoStream, surfaced as
-// WithoutStreaming): both paths must produce structurally identical
+// Equivalence of the default fused streaming pipeline against the
+// operator-at-a-time materializing execution (extract.Options.NoStream,
+// reached through Engine options by the withoutStreaming hook): both paths must produce structurally identical
 // graphs — the streaming operators promise row-for-row identical output,
 // so the condensed representation, adjacency lists, and bitmaps must all
 // match, for any worker count and planner mode.
@@ -54,9 +54,14 @@ func TestStreamingExtractionEquivalence(t *testing.T) {
 	}
 }
 
-// TestWithoutStreamingOption exercises the public option end to end: a
-// small extraction through Engine.Extract with WithoutStreaming must
-// equal the default.
+// withoutStreaming routes extraction and program evaluation through the
+// materializing oracle: every relational operator materializes its full
+// output before the next starts. It is a test hook, not public API.
+func withoutStreaming() Option { return func(o *extract.Options) { o.NoStream = true } }
+
+// TestWithoutStreamingOption exercises the hook end to end: a small
+// extraction through Engine.Extract with withoutStreaming must equal
+// the default.
 func TestWithoutStreamingOption(t *testing.T) {
 	d := experiments.Table1Datasets(experiments.Scale{Quick: true})[0]
 	e := NewEngine(d.DB)
@@ -64,11 +69,11 @@ func TestWithoutStreamingOption(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	legacy, err := e.Extract(d.Query, WithoutStreaming())
+	legacy, err := e.Extract(d.Query, withoutStreaming())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if coreFingerprint(def.c) != coreFingerprint(legacy.c) {
-		t.Error("WithoutStreaming changed the extracted graph")
+		t.Error("withoutStreaming changed the extracted graph")
 	}
 }
